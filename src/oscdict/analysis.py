@@ -18,7 +18,6 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .field import FpField
-from .heisenberg import HeisenbergElement, pi
 from .linalg import phase_table
 
 EXHAUSTIVE_PAIR_LIMIT = 50_000_000

@@ -6,12 +6,21 @@
 * ``split_oscillator`` — one orthonormal system per split torus of
   SL_2(F_p): the Weil translates rho(g) phi_chi of explicit character
   vectors, g running over the representative set R.
-* ``nonsplit_oscillator`` — one orthonormal basis per non-split torus,
-  obtained by eigendecomposing rho(generator); the spectrum must be
-  simple (p one-dimensional eigenspaces) or the build refuses.
+* ``nonsplit_oscillator`` — one orthonormal basis per non-split torus;
+  the eigenbasis of rho(t0) for one reference generator t0 (its spectrum
+  must be simple or the build refuses), transported to every torus.
 * ``extended_dictionary`` — all Heisenberg translates pi(tau, w, 0) of an
   oscillator dictionary, p^2 copies grouped so each translated system
   stays orthonormal.
+
+The first three are built the same way, by ``_transported``: one
+reference basis, moved to each group by rho(g) for a conjugator g.  The
+exchange identity rho(g) pi(h) rho(g)^-1 = pi(g.h) and conjugacy of the
+tori make every transported vector an exact eigenvector of the target
+family, so one eigenbasis per family suffices.  Member order within a
+group is the reference order: the psi(m) order for Heisenberg lines
+(member m has pi(l0)-eigenvalue psi(m)), the character order for split
+tori, and the reference eigen-angle order for non-split tori.
 
 Atoms are stored atom-major in one contiguous complex array; every atom
 is unit norm and phase-normalized, and all orderings (groups, members,
@@ -25,9 +34,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .field import FpField
-from .heisenberg import HeisenbergElement, pi
 from .linalg import UNIT_NORM_TOL, eig_unitary, phase_normalize_rows, phase_table
-from .sl2 import nonsplit_tori, split_representatives
+from .sl2 import (SL2Element, nonsplit_tori, sl2_inv, sl2_mul,
+                  split_representatives, weyl_element)
 from .weil import rho
 
 KINDS = ("heisenberg", "oscillator_split", "oscillator_nonsplit",
@@ -41,8 +50,10 @@ class Atom:
     """One dictionary element with its provenance.
 
     group is the line/torus index (for extended atoms, the translated
-    group index), member the position within the group (eigenvalue-angle
-    rank or character index), shift the Heisenberg translation (tau, w).
+    group index), member the position within the group (psi(m) order on
+    a Heisenberg line, character index on a split torus, reference
+    eigen-angle rank on a non-split torus), shift the Heisenberg
+    translation (tau, w).
     """
 
     vector: np.ndarray
@@ -117,25 +128,31 @@ def line_directions(field: FpField) -> list:
     return [(1, 0)] + [(s, 1) for s in range(field.p)]
 
 
+def _transported(kind: str, field: FpField, reference: np.ndarray,
+                 conjugators) -> Dictionary:
+    """One group per conjugator g: the rows of reference moved by rho(g),
+    phase-normalized, in reference order."""
+    blocks = [phase_normalize_rows(reference @ rho(g).matrix.T)
+              for g in conjugators]
+    n = reference.shape[0]
+    return Dictionary(kind, field.p, np.vstack(blocks),
+                      np.repeat(np.arange(len(blocks)), n),
+                      np.tile(np.arange(n), len(blocks)))
+
+
 def heisenberg_dictionary(field: FpField) -> Dictionary:
     """Eigenbases of pi(l0), one per line: p(p+1) atoms.
 
-    pi(l0) has order p and zero trace, so its spectrum is all p-th roots
-    of unity, each simple; atoms within a line are ordered by eigenvalue
-    angle.  The (0,1) line gives delta functions, the (1,0) line gives
-    normalized characters.
+    The deltas are the eigenbasis of pi(0,1,0), delta_m with eigenvalue
+    psi(m).  A conjugator g with g.(0,1) = l0 carries them to the
+    eigenbasis of pi(l0) with the same eigenvalues, so member m is the
+    psi(m)-eigenvector.  The (0,1) line gives delta functions, the (1,0)
+    line normalized characters, the (s,1) lines chirps (Alltop's bases).
     """
-    p = field.p
-    blocks, gids, mids = [], [], []
-    for g, (tau, w) in enumerate(line_directions(field)):
-        dec = eig_unitary(pi(HeisenbergElement(tau, w, 0, field)))
-        if dec.multiplicities != [1] * p:
-            raise ValueError("unexpected degenerate spectrum for line "
-                             f"({tau},{w}) at p={p}")
-        blocks.append(dec.vectors().T)
-        gids += [g] * p
-        mids += list(range(p))
-    return Dictionary("heisenberg", p, np.vstack(blocks), gids, mids)
+    conjugators = [weyl_element(field) if w == 0
+                   else SL2Element(1, tau, 0, 1, field)
+                   for tau, w in line_directions(field)]
+    return _transported("heisenberg", field, np.eye(field.p), conjugators)
 
 
 def _standard_basis_matrix(field: FpField) -> np.ndarray:
@@ -162,45 +179,34 @@ def standard_torus_basis(field: FpField) -> list:
     return [Atom(B[m], 0, m) for m in range(B.shape[0])]
 
 
-def iter_split_groups(field: FpField):
-    """Yield (group_index, representative, block) for every split torus.
-
-    block rows are the phase-normalized atoms rho(g) phi_chi in character
-    order; the identity representative reproduces the standard basis
-    exactly.  Streaming keeps peak memory at one group for large p.
-    """
-    B = _standard_basis_matrix(field)
-    for i, g in enumerate(split_representatives(field)):
-        block = B @ rho(g).matrix.T
-        yield i, g, phase_normalize_rows(block)
-
-
 def split_oscillator(field: FpField) -> Dictionary:
-    """D_O^s: p(p+1)/2 split tori, p-2 atoms each."""
-    p = field.p
-    blocks, gids, mids = [], [], []
-    for i, _, block in iter_split_groups(field):
-        blocks.append(block)
-        gids += [i] * (p - 2)
-        mids += list(range(p - 2))
-    return Dictionary("oscillator_split", p, np.vstack(blocks), gids, mids)
+    """D_O^s: p(p+1)/2 split tori, p-2 atoms each; the identity
+    representative reproduces the standard basis exactly."""
+    return _transported("oscillator_split", field,
+                        _standard_basis_matrix(field),
+                        split_representatives(field))
 
 
 def nonsplit_oscillator(field: FpField) -> Dictionary:
     """D_O^ns: one orthonormal eigenbasis of rho(generator) per non-split
-    torus; every eigenspace must be one-dimensional."""
+    torus.
+
+    Every torus generator is conjugate to t0 = c^-1 gen c of the first
+    descriptor, so only rho(t0) is eigendecomposed; its eigenspaces must
+    be one-dimensional or the build refuses.  Its eigenbasis, moved by
+    rho(conjugator), is an eigenbasis of each torus.
+    """
     p = field.p
-    blocks, gids, mids = [], [], []
-    for i, torus in enumerate(nonsplit_tori(field)):
-        dec = eig_unitary(rho(torus.generator).matrix)
-        if dec.multiplicities != [1] * p:
-            raise ValueError("unexpected degenerate spectrum: non-split "
-                             f"torus {i} at p={p} has multiplicities "
-                             f"{dec.multiplicities}")
-        blocks.append(dec.vectors().T)
-        gids += [i] * p
-        mids += list(range(p))
-    return Dictionary("oscillator_nonsplit", p, np.vstack(blocks), gids, mids)
+    tori = nonsplit_tori(field)
+    c = tori[0].conjugator
+    t0 = sl2_mul(sl2_mul(sl2_inv(c), tori[0].generator), c)
+    dec = eig_unitary(rho(t0).matrix)
+    if dec.multiplicities != [1] * p:
+        raise ValueError("unexpected degenerate spectrum: non-split "
+                         f"generator {t0} at p={p} has multiplicities "
+                         f"{dec.multiplicities}")
+    return _transported("oscillator_nonsplit", field, dec.vectors().T,
+                        [T.conjugator for T in tori])
 
 
 def oscillator_dictionary(field: FpField) -> Dictionary:

@@ -24,25 +24,6 @@ def phase_table(p: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.arange(p) / p)
 
 
-def inner(f: np.ndarray, g: np.ndarray) -> complex:
-    """<f, g> = sum_t f(t) * conj(g(t)), conjugate-linear in g."""
-    if f.shape != g.shape:
-        raise ValueError(f"length mismatch: {f.shape} vs {g.shape}")
-    return complex(np.dot(f, np.conj(g)))
-
-
-def apply(A: np.ndarray, f: np.ndarray) -> np.ndarray:
-    if A.shape[1] != f.shape[0]:
-        raise ValueError(f"size mismatch: {A.shape} @ {f.shape}")
-    return A @ f
-
-
-def compose(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    if A.shape[1] != B.shape[0]:
-        raise ValueError(f"size mismatch: {A.shape} @ {B.shape}")
-    return A @ B
-
-
 def unitarity_defect(A: np.ndarray) -> float:
     """max-norm of A A* - I."""
     n = A.shape[0]
@@ -87,7 +68,8 @@ class EigenDecomposition:
     eigenvalues[i] is the (unit-circle) representative of cluster i,
     bases[i] the orthonormal eigenspace basis as columns of a p x m_i
     array, with sum(multiplicities) = p.  Clusters are ordered by
-    eigenvalue angle in [0, 2pi).
+    eigenvalue angle in [0, 2pi), a cluster within the clustering
+    tolerance of 1 counting as angle 0 whatever the sign of its rounding.
     """
 
     eigenvalues: np.ndarray
@@ -150,7 +132,8 @@ def eig_unitary(A: np.ndarray, tol: float = CLUSTER_TOL) -> EigenDecomposition:
                 raise ValueError("spectral gap too small: eigenvalue clusters "
                                  f"{reps[i]:.6f} and {reps[j]:.6f} nearly merge")
 
-    order = np.argsort(np.angle(reps) % (2 * np.pi))
+    # shift by tol so an eigenvalue 1 rounded to angle -1e-16 ranks first
+    order = np.argsort((np.angle(reps) + tol) % (2 * np.pi))
     bases = []
     for k in order:
         cols = Z[:, np.sort(groups[k])]

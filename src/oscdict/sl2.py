@@ -304,7 +304,3 @@ def nonsplit_tori(field: FpField) -> list:
     assert len(tori) == p * (p - 1) // 2
     return tori
 
-
-def torus_generator(T: TorusDescriptor) -> SL2Element:
-    """The distinguished generator carried by the descriptor."""
-    return T.generator

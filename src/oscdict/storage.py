@@ -33,7 +33,7 @@ from .dictionary import Dictionary
 
 MAGIC = b"OSCDICT\x00"
 FORMAT_VERSION = 1
-PHASE_CONVENTION = 1
+PHASE_CONVENTION = 2
 PAYLOAD_DICTIONARY = 1
 PAYLOAD_SIGNAL = 2
 _HEADER = struct.Struct("<8sIIQQ")

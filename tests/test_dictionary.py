@@ -11,14 +11,15 @@ import pytest
 
 from oscdict.dictionary import (Atom, Dictionary, assert_unit_norms,
                                 expected_size, extended_dictionary,
-                                heisenberg_dictionary, iter_split_groups,
-                                line_directions, nonsplit_oscillator,
-                                oscillator_dictionary, split_oscillator,
-                                standard_torus_basis, unit_norm_defect,
-                                _standard_basis_matrix)
+                                heisenberg_dictionary, line_directions,
+                                nonsplit_oscillator, oscillator_dictionary,
+                                split_oscillator, standard_torus_basis,
+                                unit_norm_defect, _standard_basis_matrix)
 from oscdict.field import FpField
+from oscdict.heisenberg import HeisenbergElement, pi
+from oscdict.linalg import phase_table
 from oscdict.weil import rho, scaling_op
-from oscdict.sl2 import diagonal
+from oscdict.sl2 import diagonal, nonsplit_tori, split_representatives
 
 
 def test_expected_size_formulas():
@@ -93,6 +94,19 @@ def test_heisenberg_line_10_is_characters():
     assert np.max(np.abs(np.abs(B) - 1 / np.sqrt(p))) < 1e-12
 
 
+def test_heisenberg_members_are_psi_eigenvectors():
+    # member m of the line l0 is the psi(m)-eigenvector of pi(l0)
+    for p in (5, 7, 11, 13):
+        f = FpField(p)
+        d = heisenberg_dictionary(f)
+        psi = phase_table(p)
+        for g, (tau, w) in enumerate(line_directions(f)):
+            B = d.group_matrix(g)
+            lam = psi[d.member_ids[d.group_slice(g)]]
+            P = pi(HeisenbergElement(tau, w, 0, f))
+            assert np.max(np.abs(B @ P.T - lam[:, None] * B)) < 1e-12
+
+
 def test_heisenberg_cross_line_coherence_exact():
     p = 5
     d = heisenberg_dictionary(FpField(p))
@@ -154,16 +168,14 @@ def test_split_identity_group_is_standard_basis():
         assert np.array_equal(d.group_matrix(0), _standard_basis_matrix(f))
 
 
-def test_iter_split_groups_streams_in_order():
+def test_split_groups_are_transported_standard_basis():
+    # group i is rho(g_i) applied to the standard basis, row-wise, up to phase
     f = FpField(5)
-    seen = list(iter_split_groups(f))
-    assert [i for i, _, _ in seen] == list(range(15))
     d = split_oscillator(f)
-    for i, g, block in seen:
-        assert np.array_equal(block, d.group_matrix(i))
-        # the block really is rho(g) applied to the standard basis, row-wise
-        want = _standard_basis_matrix(f) @ rho(g).matrix.T
-        G = np.abs(block @ want.conj().T)
+    B = _standard_basis_matrix(f)
+    for i, g in enumerate(split_representatives(f)):
+        want = B @ rho(g).matrix.T
+        G = np.abs(d.group_matrix(i) @ want.conj().T)
         assert np.max(np.abs(np.diag(G) - 1.0)) < 1e-12
 
 
@@ -178,6 +190,19 @@ def test_nonsplit_oscillator():
             B = d.group_matrix(g)
             assert B.shape == (p, p)
             assert np.max(np.abs(B @ B.conj().T - np.eye(p))) < 1e-10
+
+
+def test_nonsplit_atoms_are_generator_eigenvectors():
+    # every atom of torus T is an eigenvector of rho(T.generator)
+    for p in (5, 7, 11, 13):
+        f = FpField(p)
+        d = nonsplit_oscillator(f)
+        for g, T in enumerate(nonsplit_tori(f)):
+            B = d.group_matrix(g)
+            W = B @ rho(T.generator).matrix.T
+            lam = np.sum(W * B.conj(), axis=1)
+            assert np.max(np.abs(np.abs(lam) - 1.0)) < 1e-10
+            assert np.max(np.abs(W - lam[:, None] * B)) < 1e-10
 
 
 def test_oscillator_union():

@@ -8,10 +8,9 @@ finite Fourier matrix) plus a seeded random unitary for reconstruction.
 import numpy as np
 import pytest
 
-from oscdict.linalg import (CLUSTER_TOL, EigenDecomposition, apply, compose,
-                            eig_unitary, inner, is_unitary, phase_normalize,
-                            phase_normalize_rows, phase_table,
-                            unitarity_defect)
+from oscdict.linalg import (CLUSTER_TOL, EigenDecomposition, eig_unitary,
+                            is_unitary, phase_normalize, phase_normalize_rows,
+                            phase_table, unitarity_defect)
 
 
 def fourier_matrix(p):
@@ -34,27 +33,6 @@ def test_phase_table():
         assert abs(z.sum()) < 1e-12
         assert np.allclose(np.abs(z), 1.0)
         assert abs(z[1] ** p - 1.0) < 1e-12
-
-
-def test_inner():
-    f = np.array([1.0, 2.0j])
-    g = np.array([1.0j, 1.0])
-    # conjugate-linear in the second argument
-    assert inner(f, g) == pytest.approx(1 * (-1j) + 2j * 1)
-    assert inner(f, f) == pytest.approx(5.0)
-    with pytest.raises(ValueError):
-        inner(f, np.zeros(3, dtype=complex))
-
-
-def test_apply_compose():
-    A = np.eye(2, dtype=complex) * 2
-    f = np.array([1.0, 1.0j])
-    assert np.allclose(apply(A, f), 2 * f)
-    assert np.allclose(compose(A, A), 4 * np.eye(2))
-    with pytest.raises(ValueError):
-        apply(A, np.zeros(3, dtype=complex))
-    with pytest.raises(ValueError):
-        compose(A, np.zeros((3, 3), dtype=complex))
 
 
 def test_unitarity():
@@ -172,6 +150,14 @@ def test_eig_wraparound_cluster():
     dec = eig_unitary(A)
     assert dec.multiplicities == [2, 1]
     assert dec.eigenvalues[0] == pytest.approx(1.0, abs=1e-6)
+
+
+def test_eig_eigenvalue_one_ranks_first():
+    # an eigenvalue 1 rounded to angle -1e-15 is angle 0, not 2pi - 1e-15
+    p = 5
+    dec = eig_unitary(np.diag(phase_table(p) * np.exp(-1e-15j)))
+    assert dec.multiplicities == [1] * p
+    assert np.allclose(dec.eigenvalues, phase_table(p), atol=1e-12)
 
 
 def test_cluster_tol_exported():

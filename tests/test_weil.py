@@ -145,12 +145,16 @@ def spanning_heisenberg_set(field):
 def test_egorov_over_representative_sets():
     # the exchange identity must hold (to rounding) for every conjugator
     # the dictionary builders use: split representatives, their torus
-    # generators, and the non-split generators
+    # generators, the Heisenberg line conjugators, and the non-split
+    # generators and conjugators
     for p in (5, 7, 11):
         f = FpField(p)
         conjugators = list(split_representatives(f))
         conjugators += [T.generator for T in split_tori(f)]
+        conjugators += [weyl_element(f)]
+        conjugators += [SL2Element(1, s, 0, 1, f) for s in range(p)]
         conjugators += [T.generator for T in nonsplit_tori(f)]
+        conjugators += [T.conjugator for T in nonsplit_tori(f)]
         hs = spanning_heisenberg_set(f)
         worst = max(egorov_defect(g, h) for g in conjugators for h in hs)
         assert worst < 1e-12
