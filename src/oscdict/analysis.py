@@ -8,7 +8,9 @@ bounds (1/sqrt(p) for the Heisenberg dictionary, 4/sqrt(p) for the
 oscillator families) are statements about pairs from different groups.
 Within-group deviations are reported separately as orthonormality
 defects.  Scans are exhaustive up to 5e7 pairs and seeded-random above,
-processed in fixed-size blocks so memory stays flat.
+processed in fixed-size blocks so memory stays flat: an exhaustive scan
+forms only the upper half of the Gram matrix, one row block at a time,
+and a sampled scan gathers its pairs in chunks of _PAIR_CHUNK.
 """
 
 from __future__ import annotations
@@ -24,6 +26,8 @@ EXHAUSTIVE_PAIR_LIMIT = 50_000_000
 DEFAULT_SAMPLES = 1_000_000
 HISTOGRAM_BINS = 50
 _BLOCK_ROWS = 256
+_PAIR_CHUNK = 4096  # sampled pairs per gather: a few MB of rows at p ~ 60
+_CELLS = 4096  # histogram cells; a power of two, so value * _CELLS is exact
 
 
 def dictionary_bound(kind: str, p: int) -> float:
@@ -96,13 +100,60 @@ class _ScanAccumulator:
         if values.size == 0:
             return
         self.count += values.size
-        self.counts += np.histogram(np.clip(values, 0.0, 1.0),
-                                    bins=self.edges)[0]
+        self.counts += _bin_counts(values)
         k = int(np.argmax(values))
         if values[k] > self.max:
             self.max = float(values[k])
             self.argmax = argmax_of(k) if argmax_of else ()
         self.min = min(self.min, float(values.min()))
+
+
+def _dyadic_cells(edges: np.ndarray) -> tuple:
+    """For each cell [c, c + 1) / _CELLS: the bin its left end lies in, and
+    the bin edge strictly inside it (inf where none is).  A cell is
+    narrower than a bin, so it holds at most one edge."""
+    left = np.arange(_CELLS + 1) / _CELLS
+    bins = len(edges) - 1
+    cell_bin = np.minimum(np.searchsorted(edges, left, side="right") - 1,
+                          bins - 1)
+    inner = np.full(_CELLS + 1, np.inf)
+    for e in edges[1:-1]:
+        c = int(e * _CELLS)
+        if e > left[c]:
+            inner[c] = e
+    return cell_bin, inner
+
+
+_CELL_BIN, _CELL_EDGE = _dyadic_cells(
+    np.linspace(0.0, 1.0, HISTOGRAM_BINS + 1))
+_CELL_SPLIT = np.isfinite(_CELL_EDGE)
+_BIN_FIRST_CELL = np.searchsorted(_CELL_BIN, np.arange(HISTOGRAM_BINS))
+
+
+def _bin_counts(values: np.ndarray) -> np.ndarray:
+    """np.histogram(np.clip(values, 0, 1), bins=np.linspace(0, 1, 51))[0]
+    for values >= 0, with HISTOGRAM_BINS = 50, but without sorting.
+
+    Each value falls in the dyadic cell floor(value * _CELLS) exactly;
+    values above 1 are put in the last cell, as clipping would.
+    Cells are counted and summed per bin; only the values in the few
+    cells that a bin edge splits are compared with that edge, and those
+    at or above it move up one bin.  The last bin is closed, as in
+    np.histogram, so 1.0 counts in it.
+    """
+    scaled = values * _CELLS
+    np.minimum(scaled, _CELLS, out=scaled)
+    cells = scaled.astype(np.intp)
+    counts = np.add.reduceat(np.bincount(cells, minlength=_CELLS + 1),
+                             _BIN_FIRST_CELL)
+    near = np.flatnonzero(_CELL_SPLIT.take(cells))
+    if near.size:
+        split = cells.take(near)
+        above = split[values.take(near) >= _CELL_EDGE.take(split)]
+        moved = np.bincount(_CELL_BIN.take(above), minlength=len(counts))
+        counts -= moved
+        counts[1:] += moved[:-1]
+    return counts
 
 
 def coherence(dictionary, mode: str = "auto", samples: int = DEFAULT_SAMPLES,
@@ -138,24 +189,35 @@ def _coherence_exhaustive(dictionary, cross_pairs: int) -> CoherenceReport:
     V = dictionary.vectors
     gids = dictionary.group_ids
     n = len(V)
+    Vh = V.conj().T
+    # group_ids are nondecreasing, so a group is a run of rows and row r's
+    # cross-group partners j > r are exactly the columns [group_end[r], n)
+    group_end = np.searchsorted(gids, gids, side="right")
     acc = _ScanAccumulator()
     within = 0.0
-    cols = np.arange(n)
     for start in range(0, n, _BLOCK_ROWS):
         stop = min(start + _BLOCK_ROWS, n)
-        mags = np.abs(V[start:stop] @ V.conj().T)
-        rows = np.arange(start, stop)
-        same = gids[rows][:, None] == gids[None, :]
-        upper = cols[None, :] > rows[:, None]
+        # the upper part of the Gram only: block columns are start..n-1
+        mags = np.abs(V[start:stop] @ Vh[:, start:])
+        ends = group_end[start:stop] - start
         # within-group defect: compare the same-group sub-Gram to identity
-        dev = np.where(cols[None, :] == rows[:, None],
-                       np.abs(mags - 1.0), mags)
-        if np.any(same):
-            within = max(within, float(dev[same].max()))
-        flat = np.flatnonzero(~same & upper)
-        acc.feed(mags.reshape(-1)[flat],
-                 argmax_of=lambda k, f=flat, s=start: (
-                     s + int(f[k]) // n, int(f[k]) % n))
+        width = int(ends[-1])
+        diag = np.arange(stop - start)
+        same = gids[start:stop, None] == gids[None, start:start + width]
+        dev = np.where(same, mags[:, :width], 0.0)
+        dev[diag, diag] = np.abs(dev[diag, diag] - 1.0)
+        within = max(within, float(dev.max()))
+        cross = np.arange(n - start)[None, :] >= ends[:, None]
+        # mags[cross] is row-major: row r of the block holds
+        # n - start - ends[r] values, so k locates by the running row counts
+        row_stops = np.cumsum(n - start - ends)
+
+        def position(k):
+            r = int(np.searchsorted(row_stops, k, side="right"))
+            first = int(row_stops[r - 1]) if r else 0
+            return start + r, start + int(ends[r]) + k - first
+
+        acc.feed(mags[cross], argmax_of=position)
     assert acc.count == cross_pairs
     return CoherenceReport(
         label="coherence", prime=dictionary.prime, kind=dictionary.kind,
@@ -182,10 +244,10 @@ def _coherence_sampled(dictionary, samples: int, seed: int
         keep = gids[i] != gids[j]
         i, j = i[keep][:min(remaining, 100_000)], \
             j[keep][:min(remaining, 100_000)]
-        if i.size == 0:
-            continue
-        vals = np.abs(np.einsum("ij,ij->i", V[i], V[j].conj()))
-        acc.feed(vals, argmax_of=lambda k: (int(i[k]), int(j[k])))
+        for lo in range(0, i.size, _PAIR_CHUNK):
+            ci, cj = i[lo:lo + _PAIR_CHUNK], j[lo:lo + _PAIR_CHUNK]
+            acc.feed(_pair_magnitudes(V[ci], V[cj]),
+                     argmax_of=lambda k: (int(ci[k]), int(cj[k])))
         remaining -= i.size
     return CoherenceReport(
         label="coherence", prime=dictionary.prime, kind=dictionary.kind,
@@ -194,6 +256,13 @@ def _coherence_sampled(dictionary, samples: int, seed: int
         mode="sampled", seed=seed, pairs_evaluated=acc.count,
         histogram_counts=acc.counts, histogram_edges=acc.edges,
     )
+
+
+def _pair_magnitudes(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """|<left[k], right[k]>| for each row k; right must be a scratch gather,
+    since it is conjugated in place."""
+    np.conjugate(right, out=right)
+    return np.abs(np.einsum("ij,ij->i", left, right))
 
 
 def verify_orthonormal(group: np.ndarray, tol: float = 1e-10) -> float:
@@ -260,6 +329,7 @@ def shifted_coherence(dictionary, mode: str = "auto",
         used_seed = None
     elif mode == "sampled":
         rng = np.random.default_rng(seed)
+        phases = phase_table(p)
         remaining = samples
         while remaining > 0:
             m = min(remaining, 200_000)
@@ -267,16 +337,18 @@ def shifted_coherence(dictionary, mode: str = "auto",
             j = rng.integers(0, n, size=m)
             v = rng.integers(1, p * p, size=m)  # nonzero shifts only
             tau, w = v // p, v % p
-            phi = V[i]
-            # pi(tau, w, 0) applied row-wise with per-row shift parameters
-            cols = (np.arange(p)[None, :] + tau[:, None]) % p
-            expo = (-field.half() * tau[:, None] * w[:, None]
-                    + w[:, None] * cols) % p
-            psi_rows = np.take_along_axis(V[j], cols, axis=1) \
-                * phase_table(p)[expo]
-            vals = np.abs(np.einsum("ij,ij->i", phi, psi_rows.conj()))
-            acc.feed(vals, argmax_of=lambda k: (int(i[k]), int(j[k]),
-                                                int(tau[k]), int(w[k])))
+            for lo in range(0, m, _PAIR_CHUNK):
+                c = slice(lo, lo + _PAIR_CHUNK)
+                ci, cj, ct, cw = i[c], j[c], tau[c], w[c]
+                # pi(tau, w, 0) applied row-wise with per-row shift parameters
+                cols = (np.arange(p)[None, :] + ct[:, None]) % p
+                expo = (-field.half() * ct[:, None] * cw[:, None]
+                        + cw[:, None] * cols) % p
+                psi_rows = np.take_along_axis(V[cj], cols, axis=1)
+                psi_rows *= phases[expo]
+                acc.feed(_pair_magnitudes(V[ci], psi_rows),
+                         argmax_of=lambda k: (int(ci[k]), int(cj[k]),
+                                              int(ct[k]), int(cw[k])))
             remaining -= m
         used_seed = seed
     else:

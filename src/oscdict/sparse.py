@@ -73,7 +73,8 @@ def omp(dictionary, f: np.ndarray, max_support: int,
     coeffs = np.zeros(0, dtype=np.complex128)
     residual = f.copy()
     while len(support) < max_support and np.linalg.norm(residual) > tol:
-        corr = np.abs(V.conj() @ residual)
+        # |<atom, r>| = |V r*|: no conjugated copy of the dictionary
+        corr = np.abs(V @ residual.conj())
         corr[support] = 0.0
         best = int(np.argmax(corr))
         if corr[best] <= 1e-14 * max(norm_f, 1.0):
@@ -93,7 +94,7 @@ def thresholding(dictionary, f: np.ndarray, max_support: int
         raise ValueError("max_support must be at least 1")
     f = np.asarray(f, dtype=np.complex128)
     V = dictionary.vectors
-    corr = np.abs(V.conj() @ f)
+    corr = np.abs(V @ f.conj())
     support = sorted(np.argsort(-corr, kind="stable")[:max_support].tolist())
     coeffs = _least_squares(V[support], f)
     residual = f - coeffs @ V[support]

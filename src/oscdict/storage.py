@@ -104,9 +104,8 @@ def save_dictionary(d: Dictionary, out_dir: str) -> dict:
     writer = csv.writer(buf)
     writer.writerow(["atom_index", "group_id", "member_index",
                      "shift_tau", "shift_w"])
-    for i in range(len(d)):
-        writer.writerow([i, int(d.group_ids[i]), int(d.member_ids[i]),
-                         int(d.shifts[i, 0]), int(d.shifts[i, 1])])
+    writer.writerows(np.column_stack([np.arange(len(d)), d.group_ids,
+                                      d.member_ids, d.shifts]).tolist())
     _atomic_write(os.path.join(out_dir, ATOMS_NAME), blob)
     _atomic_write(os.path.join(out_dir, PROVENANCE_NAME),
                   buf.getvalue().encode())
@@ -122,38 +121,62 @@ def _field_generator(p: int) -> int:
 
 
 def load_dictionary(in_dir: str) -> Dictionary:
-    """Load and fully verify a saved bundle."""
+    """Load and fully verify a saved bundle.
+
+    Damage of any kind raises CorruptDictionaryError: a manifest that is
+    not a JSON object or lacks a key, a provenance field that is not an
+    integer, provenance indices that are not a permutation of the atoms,
+    or values that Dictionary rejects.
+    """
+    try:
+        return _load_bundle(in_dir)
+    except KeyError as e:
+        raise CorruptDictionaryError(f"manifest lacks key {e}") from e
+    except ValueError as e:
+        raise CorruptDictionaryError(str(e)) from e
+
+
+def _load_bundle(in_dir: str) -> Dictionary:
     manifest_path = os.path.join(in_dir, MANIFEST_NAME)
     with open(manifest_path, "rb") as fh:
         try:
             manifest = json.load(fh)
         except json.JSONDecodeError as e:
             raise CorruptDictionaryError(f"manifest is not JSON: {e}") from e
+    if not isinstance(manifest, dict):
+        raise CorruptDictionaryError("manifest is not a JSON object")
     with open(os.path.join(in_dir, ATOMS_NAME), "rb") as fh:
         blob = fh.read()
     digest = hashlib.sha256(blob).hexdigest()
     if digest != manifest.get("blob_sha256"):
         raise CorruptDictionaryError("atom blob digest mismatch")
     vectors = _unpack(blob, PAYLOAD_DICTIONARY)
-    if len(vectors) != manifest["atom_count"]:
+    n = len(vectors)
+    if n != manifest["atom_count"]:
         raise CorruptDictionaryError("manifest atom count != blob count")
     if vectors.shape[1] != manifest["prime"]:
         raise CorruptDictionaryError("manifest prime != blob dimension")
-    gids = np.empty(len(vectors), dtype=np.int64)
-    mids = np.empty(len(vectors), dtype=np.int64)
-    shifts = np.empty((len(vectors), 2), dtype=np.int64)
     with open(os.path.join(in_dir, PROVENANCE_NAME), newline="") as fh:
-        rows = list(csv.reader(fh))
-    if len(rows) != len(vectors) + 1:
+        try:
+            table = np.loadtxt(fh, dtype=np.int64, delimiter=",",
+                               skiprows=1, ndmin=2, comments=None)
+        except ValueError as e:
+            raise CorruptDictionaryError(f"provenance: {e}") from e
+    if len(table) != n:
         raise CorruptDictionaryError("provenance row count mismatch")
-    for row in rows[1:]:
-        i = int(row[0])
-        if not 0 <= i < len(vectors):
-            raise CorruptDictionaryError(f"provenance index {i} out of range")
-        gids[i], mids[i] = int(row[1]), int(row[2])
-        shifts[i] = (int(row[3]), int(row[4]))
+    if table.size != 5 * n:
+        raise CorruptDictionaryError("provenance rows do not have 5 fields")
+    table = table.reshape(n, 5)
+    index = table[:, 0]
+    if np.any((index < 0) | (index >= n)):
+        raise CorruptDictionaryError("provenance index out of range")
+    if not np.all(np.bincount(index, minlength=n) == 1):
+        raise CorruptDictionaryError(
+            "provenance indices are not a permutation of the atoms")
+    rows = np.empty_like(table)
+    rows[index] = table
     d = Dictionary(manifest["kind"], manifest["prime"], vectors,
-                   gids, mids, shifts)
+                   rows[:, 1].copy(), rows[:, 2].copy(), rows[:, 3:].copy())
     if d.n_groups != manifest["group_count"]:
         raise CorruptDictionaryError("manifest group count mismatch")
     return d

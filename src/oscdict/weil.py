@@ -17,6 +17,7 @@ scalar correction is attempted.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,11 +57,17 @@ def chirp_op(u: FpElement) -> np.ndarray:
     return np.diag(_chirp_phases(u.field, int(u)))
 
 
+@functools.lru_cache(maxsize=8)
 def fourier_op(field: FpField) -> np.ndarray:
-    """F[w, t] = psi(w t) / sqrt(p), the unitary finite Fourier transform."""
+    """F[w, t] = psi(w t) / sqrt(p), the unitary finite Fourier transform.
+
+    Built once per field and shared by every caller, so it is read-only.
+    """
     p = field.p
     grid = np.outer(np.arange(p), np.arange(p)) % p
-    return phase_table(p)[grid] / np.sqrt(p)
+    F = phase_table(p)[grid] / np.sqrt(p)
+    F.setflags(write=False)
+    return F
 
 
 @dataclass(frozen=True)

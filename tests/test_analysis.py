@@ -11,9 +11,9 @@ import json
 import numpy as np
 import pytest
 
-from oscdict.analysis import (CoherenceReport, babel_profile, coherence,
-                              dictionary_bound, shifted_coherence,
-                              verify_orthonormal)
+from oscdict.analysis import (CoherenceReport, _ScanAccumulator,
+                              babel_profile, coherence, dictionary_bound,
+                              shifted_coherence, verify_orthonormal)
 from oscdict.dictionary import (Dictionary, heisenberg_dictionary,
                                 oscillator_dictionary, split_oscillator)
 from oscdict.field import FpField
@@ -180,3 +180,81 @@ def test_shifted_coherence_bad_mode():
     d = split_oscillator(FpField(5))
     with pytest.raises(ValueError, match="mode"):
         shifted_coherence(d, mode="psychic")
+
+
+def _damaged_heisenberg(field):
+    """Heisenberg lines with one atom stretched and two made
+    non-orthogonal, so the within-group defect is far from rounding."""
+    d = heisenberg_dictionary(field)
+    V = d.vectors.copy()
+    V[3] *= 1.25
+    V[field.p + 1] += 0.3 * V[field.p + 2]
+    return Dictionary(d.kind, d.prime, V, d.group_ids, d.member_ids)
+
+
+@pytest.mark.parametrize("p", [5, 7, 11])
+@pytest.mark.parametrize("builder", [oscillator_dictionary,
+                                     heisenberg_dictionary,
+                                     _damaged_heisenberg])
+def test_exhaustive_scan_matches_full_gram(builder, p):
+    # brute force: the whole Gram at once, its i < j cross-group entries
+    # in row-major order, and the histogram np.histogram gives for them
+    d = builder(FpField(p))
+    V, g = d.vectors, d.group_ids
+    n = len(d)
+    mags = np.abs(V @ V.conj().T)
+    cross = (g[:, None] != g[None, :]) & np.triu(np.ones((n, n), bool), 1)
+    vals = mags[cross]
+    rows, cols = np.nonzero(cross)
+    first = int(np.argmax(vals))
+    dev = np.where(g[:, None] == g[None, :], mags, 0.0)
+    dev[np.arange(n), np.arange(n)] = np.abs(np.diag(mags) - 1.0)
+    r = coherence(d, mode="exhaustive")
+    assert r.max_coherence == vals.max()
+    assert r.min_coherence == vals.min()
+    assert r.argmax == (rows[first], cols[first])
+    assert r.pairs_evaluated == vals.size
+    want = np.histogram(np.clip(vals, 0.0, 1.0),
+                        bins=np.linspace(0.0, 1.0, 51))[0]
+    assert np.array_equal(r.histogram_counts, want)
+    assert r.within_group_defect == pytest.approx(dev.max(), abs=1e-14)
+
+
+def test_histogram_counts_equal_np_histogram_at_edges():
+    edges = np.linspace(0.0, 1.0, 51)
+    # every edge, its float neighbours, 0.0, 1.0 and values just above 1
+    values = np.concatenate([edges, np.nextafter(edges, -1.0)[1:],
+                             np.nextafter(edges, 2.0), [0.0, 1.0, 1.0],
+                             1.0 + 1e-15 * np.arange(3)])
+    rng = np.random.default_rng(5)
+    values = np.concatenate([values, rng.random(10_000)])
+    acc = _ScanAccumulator()
+    acc.feed(values)
+    want = np.histogram(np.clip(values, 0.0, 1.0), bins=edges)[0]
+    assert np.array_equal(acc.counts, want)
+    assert acc.counts[-1] >= 7  # 1.0 and the clipped values land last
+    assert acc.counts.sum() == values.size
+
+
+def test_sampled_scans_frozen_across_chunks():
+    # regression values of the one-gather scans these chunked scans
+    # replaced; 10_001 samples span several chunks and end on a partial one
+    d = split_oscillator(FpField(11))
+    r = coherence(d, mode="sampled", samples=10_001, seed=2)
+    assert r.max_coherence == pytest.approx(0.8753028244566728, abs=1e-15)
+    assert r.argmax == (287, 8)
+    assert r.pairs_evaluated == 10_001
+    assert r.histogram_counts.tolist() == [
+        5019, 62, 38, 127, 53, 0, 394, 42, 0, 89, 82, 282, 156, 49, 131, 100,
+        279, 346, 0, 317, 372, 104, 176, 0, 209, 337, 303, 33, 71, 87, 111,
+        56, 423, 0, 0, 0, 0, 21, 72, 17, 23, 0, 0, 20, 0, 0, 0, 0, 0, 0]
+    u = oscillator_dictionary(FpField(7))
+    r = shifted_coherence(u, mode="sampled", samples=10_001, seed=2)
+    assert r.max_coherence == pytest.approx(0.8356989742082694, abs=1e-15)
+    assert r.argmax == (207, 139, 0, 4)
+    assert r.pairs_evaluated == 10_001
+    assert r.histogram_counts.tolist() == [
+        37, 91, 131, 157, 147, 253, 256, 310, 337, 378, 358, 363, 458, 471,
+        457, 462, 469, 473, 464, 467, 482, 365, 343, 261, 318, 251, 265, 179,
+        174, 155, 113, 109, 104, 83, 82, 72, 43, 18, 21, 2, 13, 9, 0, 0, 0,
+        0, 0, 0, 0, 0]

@@ -197,6 +197,53 @@ def test_coherence_missing_and_corrupt(tmp_path, capsys):
     capsys.readouterr()
 
 
+def _copy_provenance_row(bundle, src, dst):
+    """Overwrite data row dst with data row src, duplicating its index."""
+    path = bundle / PROVENANCE_NAME
+    lines = path.read_bytes().split(b"\r\n")
+    lines[1 + dst] = lines[1 + src]
+    path.write_bytes(b"\r\n".join(lines))
+
+
+def _drop_manifest_key(bundle, key):
+    path = bundle / MANIFEST_NAME
+    manifest = json.loads(path.read_text())
+    del manifest[key]
+    path.write_text(json.dumps(manifest))
+
+
+def _set_provenance_field(bundle, row, col, text):
+    path = bundle / PROVENANCE_NAME
+    lines = path.read_bytes().split(b"\r\n")
+    fields = lines[1 + row].split(b",")
+    fields[col] = text
+    lines[1 + row] = b",".join(fields)
+    path.write_bytes(b"\r\n".join(lines))
+
+
+@pytest.mark.parametrize("damage", [
+    lambda b: _copy_provenance_row(b, 1, 2),
+    lambda b: _drop_manifest_key(b, "atom_count"),
+    lambda b: _drop_manifest_key(b, "kind"),
+    lambda b: _set_provenance_field(b, 3, 2, b"2.5"),
+    lambda b: _set_provenance_field(b, 3, 1, b"x"),
+    lambda b: _set_provenance_field(b, 3, 4, b"0,0"),
+    lambda b: _set_provenance_field(b, 3, 0, b"99"),
+    lambda b: (b / MANIFEST_NAME).write_text("[1, 2]"),
+], ids=["duplicated-index", "no-atom-count", "no-kind", "float-field",
+        "text-field", "extra-field", "index-out-of-range",
+        "manifest-not-object"])
+def test_coherence_damaged_bundle_exits_4(tmp_path, capsys, damage):
+    out = tmp_path / "h7"
+    assert main(["build", "--prime", "7", "--out", str(out)]) == 0
+    capsys.readouterr()
+    damage(out)
+    assert main(["coherence", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: corrupt dictionary: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_coherence_json_and_csv_formats(tmp_path, capsys):
     out = str(tmp_path / "h5")
     assert main(["build", "--prime", "5", "--out", out]) == 0
