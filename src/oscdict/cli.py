@@ -4,7 +4,8 @@ sparse recovery, and self-test the algebraic invariants.
 Exit codes are a stable contract:
   0  success
   1  a proven bound or invariant failed (implementation bug signal)
-  2  bad input (composite prime, unknown kind, size mismatch)
+  2  bad input (composite prime, unknown kind, size mismatch, a build
+     larger than MAX_BUNDLE_BYTES)
   3  I/O failure (missing or unwritable paths)
   4  corrupt dictionary or signal file
   5  sparse recovery failure
@@ -30,8 +31,8 @@ from .linalg import unitarity_defect
 from .sl2 import (bruhat, nonsplit_tori, sl2_elements, sl2_order,
                   split_representatives)
 from .sparse import RecoveryError, omp, recovery_experiment
-from .storage import (CorruptDictionaryError, load_dictionary, load_signal,
-                      save_dictionary)
+from .storage import (CorruptDictionaryError, bundle_blob_size,
+                      load_dictionary, load_signal, save_dictionary)
 from .weil import egorov_defect, rho
 
 EXIT_OK = 0
@@ -40,6 +41,9 @@ EXIT_BAD_INPUT = 2
 EXIT_IO = 3
 EXIT_CORRUPT = 4
 EXIT_RECOVERY = 5
+
+# largest atoms.bin that build will make; a build holds about twice this
+MAX_BUNDLE_BYTES = 2 << 30
 
 CLI_KINDS = {
     "heisenberg": "heisenberg",
@@ -75,6 +79,13 @@ def cmd_build(args) -> int:
     msg = _check_prime(args.prime)
     if msg:
         print(f"error: {msg}", file=sys.stderr)
+        return EXIT_BAD_INPUT
+    size = bundle_blob_size(expected_size(CLI_KINDS[args.kind], args.prime),
+                            args.prime)
+    if size > MAX_BUNDLE_BYTES:
+        print(f"error: kind {args.kind} at p={args.prime} needs a "
+              f"{size / 2**30:.1f} GiB bundle, over the "
+              f"{MAX_BUNDLE_BYTES / 2**30:.0f} GiB limit", file=sys.stderr)
         return EXIT_BAD_INPUT
     field = FpField(args.prime)
     t0 = time.perf_counter()

@@ -22,6 +22,9 @@ e^2 + bc is a nonzero square and non-split when it is a nonsquare.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
+
+import numpy as np
 
 from .field import FpField, prime_factors
 from .heisenberg import HeisenbergElement
@@ -283,24 +286,34 @@ def nonsplit_tori(field: FpField) -> list:
     The normalizer of a non-split torus has order 2(p+1), so this yields
     p(p-1)/2 subgroups.  Each descriptor's generator g t0 g^-1 has order
     p+1 and its conjugator is the first group element reaching the torus.
+    The conjugation and the torus_key normalisation run as one numpy pass
+    over all group elements.
     """
     p = field.p
     t0 = _first_nonsplit_generator(field)
     a0, b0, c0, d0 = t0.entries()
-    seen = {}
-    order = []
-    for (a, b, c, d) in sl2_element_tuples(p):
-        # m = g t0 g^-1 with g = [[a,b],[c,d]], inverse [[d,-b],[-c,a]]
-        x, y = a * a0 + b * c0, a * b0 + b * d0
-        z, w = c * a0 + d * c0, c * b0 + d * d0
-        m = SL2Element(x * d - y * c, -x * b + y * a,
-                       z * d - w * c, -z * b + w * a, field)
-        key = torus_key(m)
-        if key not in seen:
-            seen[key] = TorusDescriptor("nonsplit",
-                                        SL2Element(a, b, c, d, field), m)
-            order.append(key)
-    tori = [seen[k] for k in order]
+    count = p ** 3 - p
+    g = np.fromiter(chain.from_iterable(sl2_element_tuples(p)),
+                    dtype=np.int64, count=4 * count).reshape(count, 4)
+    a, b, c, d = g.T
+    # m = g t0 g^-1 with g = [[a,b],[c,d]], inverse [[d,-b],[-c,a]]
+    x, y = (a * a0 + b * c0) % p, (a * b0 + b * d0) % p
+    z, w = (c * a0 + d * c0) % p, (c * b0 + d * d0) % p
+    m = [(x * d - y * c) % p, (y * a - x * b) % p,
+         (z * d - w * c) % p, (w * a - z * b) % p]
+    del x, y, z, w  # the p^3-long temporaries set the peak memory here
+    # torus_key: (e, b, c) scaled so its first nonzero entry is 1; m is
+    # never central, having order p+1
+    e = ((m[0] - m[3]) * field.half()) % p
+    inverse = np.zeros(p, dtype=np.int64)
+    inverse[1:] = [pow(v, p - 2, p) for v in range(1, p)]
+    scale = inverse[np.where(e != 0, e, np.where(m[1] != 0, m[1], m[2]))]
+    key = ((e * scale % p) * p + m[1] * scale % p) * p + m[2] * scale % p
+    _, first = np.unique(key, return_index=True)
+    first.sort()
+    tori = [TorusDescriptor("nonsplit", SL2Element(*gi, field),
+                            SL2Element(*mi, field))
+            for gi, mi in zip(g[first].tolist(),
+                              np.stack(m, axis=1)[first].tolist())]
     assert len(tori) == p * (p - 1) // 2
     return tori
-

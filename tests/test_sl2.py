@@ -214,6 +214,33 @@ def test_nonsplit_tori_against_bruteforce():
             assert f.legendre(tr * tr - 4) == -1
 
 
+def scalar_nonsplit_tori(field):
+    """Reference: the element-by-element scan that nonsplit_tori runs as
+    one array pass; first descriptor per torus_key, in scan order."""
+    from oscdict.sl2 import (TorusDescriptor, _first_nonsplit_generator,
+                             sl2_element_tuples)
+    t0 = _first_nonsplit_generator(field)
+    a0, b0, c0, d0 = t0.entries()
+    seen = {}
+    for (a, b, c, d) in sl2_element_tuples(field.p):
+        x, y = a * a0 + b * c0, a * b0 + b * d0
+        z, w = c * a0 + d * c0, c * b0 + d * d0
+        m = SL2Element(x * d - y * c, -x * b + y * a,
+                       z * d - w * c, -z * b + w * a, field)
+        seen.setdefault(torus_key(m), TorusDescriptor(
+            "nonsplit", SL2Element(a, b, c, d, field), m))
+    return list(seen.values())
+
+
+def test_nonsplit_tori_matches_scalar_scan():
+    for p in (5, 7, 11, 13):
+        f = FpField(p)
+        tori = nonsplit_tori(f)
+        assert tori == scalar_nonsplit_tori(f)
+        assert all(type(x) is int for T in tori
+                   for x in T.conjugator.entries() + T.generator.entries())
+
+
 def test_first_nonsplit_generator_frozen():
     from oscdict.sl2 import _first_nonsplit_generator
     assert _first_nonsplit_generator(FpField(5)).entries() == (0, 1, 4, 1)

@@ -4,8 +4,10 @@ All CLI invocations go through main(argv) in-process, so exit codes and
 printed output are asserted directly; bundles live in pytest tmp dirs.
 """
 
+import hashlib
 import json
 import os
+import time
 
 import numpy as np
 import pytest
@@ -16,7 +18,7 @@ from oscdict.dictionary import (Dictionary, extended_dictionary,
 from oscdict.field import FpField
 from oscdict.sparse import RecoveryError
 from oscdict.storage import (ATOMS_NAME, CorruptDictionaryError,
-                             MANIFEST_NAME, PROVENANCE_NAME,
+                             MANIFEST_NAME, bundle_blob_size,
                              load_dictionary, load_signal, save_dictionary,
                              save_signal)
 
@@ -50,7 +52,7 @@ def test_manifest_contents(tmp_path):
     manifest = save_dictionary(d, str(tmp_path / "b"))
     on_disk = json.loads((tmp_path / "b" / MANIFEST_NAME).read_text())
     assert on_disk == manifest
-    assert manifest["format_version"] == 1
+    assert manifest["format_version"] == 2
     assert manifest["phase_convention"] == 2
     assert manifest["prime"] == 7
     assert manifest["kind"] == "heisenberg"
@@ -58,24 +60,54 @@ def test_manifest_contents(tmp_path):
     assert manifest["group_count"] == 8
     assert manifest["generator"] == FpField(7).mult_generator()
     assert "created" in manifest
-    import hashlib
     blob = (tmp_path / "b" / ATOMS_NAME).read_bytes()
     assert manifest["blob_sha256"] == hashlib.sha256(blob).hexdigest()
-    header = (tmp_path / "b" / PROVENANCE_NAME).read_text().splitlines()[0]
-    assert header == "atom_index,group_id,member_index,shift_tau,shift_w"
+    assert sorted(os.listdir(tmp_path / "b")) == [ATOMS_NAME, MANIFEST_NAME]
+
+
+def test_atoms_bin_layout(tmp_path):
+    # header, atoms, group ids, member ids, shifts: all little-endian
+    d = extended_dictionary(split_oscillator(FpField(5)))
+    save_dictionary(d, str(tmp_path / "b"))
+    blob = (tmp_path / "b" / ATOMS_NAME).read_bytes()
+    n, p = len(d), d.prime
+    assert len(blob) == bundle_blob_size(n, p) == 32 + n * (16 * p + 32)
+    assert blob[:8] == b"OSCDICT\x00"
+    assert np.array_equal(np.frombuffer(blob[8:32], "<u4", 2), [2, 1])
+    assert np.array_equal(np.frombuffer(blob[16:32], "<u8"), [n, p])
+    atoms = np.frombuffer(blob, "<c16", n * p, 32).reshape(n, p)
+    ids = np.frombuffer(blob, "<i8", 4 * n, 32 + 16 * n * p)
+    assert np.array_equal(atoms, d.vectors)
+    assert np.array_equal(ids[:n], d.group_ids)
+    assert np.array_equal(ids[n:2 * n], d.member_ids)
+    assert np.array_equal(ids[2 * n:].reshape(n, 2), d.shifts)
+    back = load_dictionary(str(tmp_path / "b"))
+    assert back.vectors.flags.writeable and back.group_ids.flags.writeable
 
 
 def test_save_is_deterministic_modulo_timestamp(tmp_path):
     d = heisenberg_dictionary(FpField(7))
     save_dictionary(d, str(tmp_path / "one"))
     save_dictionary(d, str(tmp_path / "two"))
-    for name in (ATOMS_NAME, PROVENANCE_NAME):
-        assert (tmp_path / "one" / name).read_bytes() \
-            == (tmp_path / "two" / name).read_bytes()
+    assert (tmp_path / "one" / ATOMS_NAME).read_bytes() \
+        == (tmp_path / "two" / ATOMS_NAME).read_bytes()
     m1 = json.loads((tmp_path / "one" / MANIFEST_NAME).read_text())
     m2 = json.loads((tmp_path / "two" / MANIFEST_NAME).read_text())
     m1.pop("created"), m2.pop("created")
     assert m1 == m2
+
+
+def _resign(bundle):
+    """Make the manifest digest match atoms.bin again after an edit."""
+    m = json.loads((bundle / MANIFEST_NAME).read_text())
+    m["blob_sha256"] = hashlib.sha256(
+        (bundle / ATOMS_NAME).read_bytes()).hexdigest()
+    (bundle / MANIFEST_NAME).write_text(json.dumps(m))
+
+
+def _truncate(bundle, nbytes):
+    blob = (bundle / ATOMS_NAME).read_bytes()
+    (bundle / ATOMS_NAME).write_bytes(blob[:-nbytes])
 
 
 def corrupt_byte(path, offset):
@@ -108,10 +140,7 @@ def test_load_detects_bad_magic(tmp_path):
     blob[0:8] = b"NOTADICT"
     (tmp_path / "b" / ATOMS_NAME).write_bytes(bytes(blob))
     # keep the manifest digest consistent so the magic check is reached
-    import hashlib
-    m = json.loads((tmp_path / "b" / MANIFEST_NAME).read_text())
-    m["blob_sha256"] = hashlib.sha256(bytes(blob)).hexdigest()
-    (tmp_path / "b" / MANIFEST_NAME).write_text(json.dumps(m))
+    _resign(tmp_path / "b")
     with pytest.raises(CorruptDictionaryError, match="magic"):
         load_dictionary(str(tmp_path / "b"))
 
@@ -119,9 +148,9 @@ def test_load_detects_bad_magic(tmp_path):
 def test_load_detects_broken_manifest_and_provenance(tmp_path):
     d = heisenberg_dictionary(FpField(5))
     save_dictionary(d, str(tmp_path / "b"))
-    lines = (tmp_path / "b" / PROVENANCE_NAME).read_text().splitlines()
-    (tmp_path / "b" / PROVENANCE_NAME).write_text("\n".join(lines[:-1]))
-    with pytest.raises(CorruptDictionaryError, match="provenance"):
+    _truncate(tmp_path / "b", 8)
+    _resign(tmp_path / "b")
+    with pytest.raises(CorruptDictionaryError, match="file length"):
         load_dictionary(str(tmp_path / "b"))
     (tmp_path / "b" / MANIFEST_NAME).write_text("{ not json")
     with pytest.raises(CorruptDictionaryError, match="JSON"):
@@ -144,6 +173,13 @@ def test_signal_rejects_dictionary_payload(tmp_path):
     (tmp_path / "short.bin").write_bytes(b"xy")
     with pytest.raises(CorruptDictionaryError, match="header"):
         load_signal(str(tmp_path / "short.bin"))
+    # a header that counts no signal, with a matching (empty) body
+    save_signal(str(tmp_path / "sig.bin"), np.ones(3))
+    blob = bytearray((tmp_path / "sig.bin").read_bytes())
+    blob[16:24] = (0).to_bytes(8, "little")
+    (tmp_path / "empty.bin").write_bytes(bytes(blob[:32]))
+    with pytest.raises(CorruptDictionaryError, match="0 signals"):
+        load_signal(str(tmp_path / "empty.bin"))
 
 
 # ---------------------------------------------------------------------------
@@ -197,12 +233,26 @@ def test_coherence_missing_and_corrupt(tmp_path, capsys):
     capsys.readouterr()
 
 
-def _copy_provenance_row(bundle, src, dst):
-    """Overwrite data row dst with data row src, duplicating its index."""
-    path = bundle / PROVENANCE_NAME
-    lines = path.read_bytes().split(b"\r\n")
-    lines[1 + dst] = lines[1 + src]
-    path.write_bytes(b"\r\n".join(lines))
+# provenance offsets in the atoms.bin of the p=7 Heisenberg bundle below:
+# n = 56 atoms, after the 32-byte header and the n x 7 complex128 atoms
+_N7 = 56
+_GROUPS7 = 32 + 16 * _N7 * 7
+_MEMBERS7 = _GROUPS7 + 8 * _N7
+
+
+def _set_int64(bundle, offset, old, new):
+    path = bundle / ATOMS_NAME
+    blob = bytearray(path.read_bytes())
+    assert int.from_bytes(blob[offset:offset + 8], "little") == old
+    blob[offset:offset + 8] = new.to_bytes(8, "little", signed=True)
+    path.write_bytes(bytes(blob))
+
+
+def _set_version(bundle, version):
+    path = bundle / ATOMS_NAME
+    blob = bytearray(path.read_bytes())
+    blob[8:12] = version.to_bytes(4, "little")
+    path.write_bytes(bytes(blob))
 
 
 def _drop_manifest_key(bundle, key):
@@ -212,27 +262,20 @@ def _drop_manifest_key(bundle, key):
     path.write_text(json.dumps(manifest))
 
 
-def _set_provenance_field(bundle, row, col, text):
-    path = bundle / PROVENANCE_NAME
-    lines = path.read_bytes().split(b"\r\n")
-    fields = lines[1 + row].split(b",")
-    fields[col] = text
-    lines[1 + row] = b",".join(fields)
-    path.write_bytes(b"\r\n".join(lines))
-
-
 @pytest.mark.parametrize("damage", [
-    lambda b: _copy_provenance_row(b, 1, 2),
+    # atom 2's member id 2 -> 5 keeps every other check satisfied; only
+    # the digest sees it
+    lambda b: _set_int64(b, _MEMBERS7 + 8 * 2, 2, 5),
+    lambda b: corrupt_byte(b / ATOMS_NAME, _GROUPS7 + 8 * _N7 + 3),
+    lambda b: (_truncate(b, 8), _resign(b)),
+    lambda b: (_set_int64(b, _GROUPS7, 0, 5), _resign(b)),
+    lambda b: (_set_version(b, 1), _resign(b)),
     lambda b: _drop_manifest_key(b, "atom_count"),
     lambda b: _drop_manifest_key(b, "kind"),
-    lambda b: _set_provenance_field(b, 3, 2, b"2.5"),
-    lambda b: _set_provenance_field(b, 3, 1, b"x"),
-    lambda b: _set_provenance_field(b, 3, 4, b"0,0"),
-    lambda b: _set_provenance_field(b, 3, 0, b"99"),
     lambda b: (b / MANIFEST_NAME).write_text("[1, 2]"),
-], ids=["duplicated-index", "no-atom-count", "no-kind", "float-field",
-        "text-field", "extra-field", "index-out-of-range",
-        "manifest-not-object"])
+], ids=["member-id-edit", "provenance-byte-flip", "provenance-truncated",
+        "group-ids-decreasing", "format-version-1", "no-atom-count",
+        "no-kind", "manifest-not-object"])
 def test_coherence_damaged_bundle_exits_4(tmp_path, capsys, damage):
     out = tmp_path / "h7"
     assert main(["build", "--prime", "7", "--out", str(out)]) == 0
@@ -242,6 +285,20 @@ def test_coherence_damaged_bundle_exits_4(tmp_path, capsys, damage):
     err = capsys.readouterr().err
     assert err.startswith("error: corrupt dictionary: ")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_build_refuses_oversized_request(tmp_path, capsys):
+    # the extended family at p=53 would be ~350 GB: refused before any
+    # allocation, with no output directory made
+    out = tmp_path / "x53"
+    t0 = time.perf_counter()
+    code = main(["build", "--kind", "extended", "--prime", "53",
+                 "--out", str(out)])
+    assert time.perf_counter() - t0 < 0.5
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "GiB" in err and not out.exists()
 
 
 def test_coherence_json_and_csv_formats(tmp_path, capsys):
