@@ -42,7 +42,8 @@ EXIT_IO = 3
 EXIT_CORRUPT = 4
 EXIT_RECOVERY = 5
 
-# largest atoms.bin that build will make; a build holds about twice this
+# largest atoms.bin that build will make; a split or non-split build peaks
+# near one bundle, the union and extended builds, which concatenate, near two
 MAX_BUNDLE_BYTES = 2 << 30
 
 CLI_KINDS = {

@@ -13,53 +13,39 @@
   oscillator dictionary, p^2 copies grouped so each translated system
   stays orthonormal.
 
-The first three are built the same way, by ``_transported``: one
-reference basis, moved to each group by rho(g) for a conjugator g.  The
-exchange identity rho(g) pi(h) rho(g)^-1 = pi(g.h) and conjugacy of the
-tori make every transported vector an exact eigenvector of the target
-family, so one eigenbasis per family suffices.  Member order within a
-group is the reference order: the psi(m) order for Heisenberg lines
-(member m has pi(l0)-eigenvalue psi(m)), the character order for split
-tori, and the reference eigen-angle order for non-split tori.
+The first three are built the same way: one reference basis, moved to
+each group by rho(g) for a conjugator g.  The exchange identity
+rho(g) pi(h) rho(g)^-1 = pi(g.h) and conjugacy of the tori make every
+transported vector an exact eigenvector of the target family, so one
+eigenbasis per family suffices.  The oscillator families follow the
+orbit-major torus order of ``sl2``: only the p seed groups are moved by
+rho, and ``_chirp_orbits`` spreads each over its orbit with the chirps
+M_x = rho(U(x)).  Member order within a group is the reference order:
+the psi(m) order for Heisenberg lines (member m has pi(l0)-eigenvalue
+psi(m)), the character order for split tori, and the reference
+eigen-angle order for non-split tori.
 
 Atoms are stored atom-major in one contiguous complex array; every atom
-is unit norm and phase-normalized, and all orderings (groups, members,
-shifts) are fixed, so builds are bit-reproducible.
+is unit norm and phase-normalized (its first largest-magnitude entry is
+real positive), and all orderings (groups, members, shifts) are fixed,
+so builds are bit-reproducible.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .field import FpField
-from .linalg import UNIT_NORM_TOL, eig_unitary, phase_normalize_rows, phase_table
-from .sl2 import (SL2Element, nonsplit_tori, sl2_inv, sl2_mul,
-                  split_representatives, weyl_element)
+from .linalg import (UNIT_NORM_TOL, eig_unitary, phase_normalize_rows,
+                     phase_pivots, phase_table)
+from .sl2 import (SL2Element, nonsplit_tori, split_representatives,
+                  weyl_element)
 from .weil import rho
 
 KINDS = ("heisenberg", "oscillator_split", "oscillator_nonsplit",
          "oscillator", "extended")
 
 OSCILLATOR_KINDS = ("oscillator_split", "oscillator_nonsplit", "oscillator")
-
-
-@dataclass(frozen=True)
-class Atom:
-    """One dictionary element with its provenance.
-
-    group is the line/torus index (for extended atoms, the translated
-    group index), member the position within the group (psi(m) order on
-    a Heisenberg line, character index on a split torus, reference
-    eigen-angle rank on a non-split torus), shift the Heisenberg
-    translation (tau, w).
-    """
-
-    vector: np.ndarray
-    group: int
-    member: int
-    shift: tuple = (0, 0)
 
 
 class Dictionary:
@@ -94,10 +80,6 @@ class Dictionary:
 
     def __len__(self):
         return len(self.vectors)
-
-    def atom(self, i: int) -> Atom:
-        return Atom(self.vectors[i], int(self.group_ids[i]),
-                    int(self.member_ids[i]), tuple(self.shifts[i]))
 
     def group_slice(self, g: int) -> slice:
         return slice(int(self._starts[g]), int(self._starts[g + 1]))
@@ -140,6 +122,35 @@ def _transported(kind: str, field: FpField, reference: np.ndarray,
                       np.tile(np.arange(n), len(blocks)))
 
 
+def _chirp_orbits(kind: str, field: FpField, reference: np.ndarray,
+                  seeds) -> Dictionary:
+    """Group j*p + x: the rows of reference moved by rho(U(x) g_j), for
+    the seed conjugators g_j.
+
+    rho(U(x) g) = M_x rho(g), so each seed group is transported once and
+    then multiplied by the p chirps.  A chirp leaves magnitudes alone, so
+    seed row r keeps its phase pivot k_r across the orbit, and only the
+    chirp phase there is divided out: atom entry t is
+    seed[r, t] psi(-(x/2)(t^2 - k_r^2)).
+    """
+    p = field.p
+    m = reference.shape[0]
+    t = np.arange(p)
+    t2 = t * t % p
+    chirp = phase_table(p)[np.outer(t, -field.half() * t) % p]  # psi(-(x/2)s)
+    out = np.empty((len(seeds), p, m, p), dtype=np.complex128)
+    for block, g in zip(out, seeds):
+        seed = phase_normalize_rows(reference @ rho(g).matrix.T)
+        s = (t2[None, :] - t2[phase_pivots(seed)][:, None]) % p
+        for x, atoms in enumerate(block):
+            np.take(chirp[x], s, out=atoms, mode="clip")
+            atoms *= seed
+    n_groups = len(seeds) * p
+    return Dictionary(kind, p, out.reshape(n_groups * m, p),
+                      np.repeat(np.arange(n_groups), m),
+                      np.tile(np.arange(m), n_groups))
+
+
 def heisenberg_dictionary(field: FpField) -> Dictionary:
     """Eigenbases of pi(l0), one per line: p(p+1) atoms.
 
@@ -173,40 +184,35 @@ def _standard_basis_matrix(field: FpField) -> np.ndarray:
     return B
 
 
-def standard_torus_basis(field: FpField) -> list:
-    """The p-2 explicit atoms phi_chi for the diagonal torus."""
-    B = _standard_basis_matrix(field)
-    return [Atom(B[m], 0, m) for m in range(B.shape[0])]
-
-
 def split_oscillator(field: FpField) -> Dictionary:
-    """D_O^s: p(p+1)/2 split tori, p-2 atoms each; the identity
-    representative reproduces the standard basis exactly."""
-    return _transported("oscillator_split", field,
-                        _standard_basis_matrix(field),
-                        split_representatives(field))
+    """D_O^s: p(p+1)/2 split tori, p-2 atoms each; the seeds are the
+    representatives [[1, b], [0, 1]], and the identity representative
+    reproduces the standard basis exactly."""
+    return _chirp_orbits("oscillator_split", field,
+                         _standard_basis_matrix(field),
+                         split_representatives(field)[::field.p])
 
 
 def nonsplit_oscillator(field: FpField) -> Dictionary:
     """D_O^ns: one orthonormal eigenbasis of rho(generator) per non-split
     torus.
 
-    Every torus generator is conjugate to t0 = c^-1 gen c of the first
-    descriptor, so only rho(t0) is eigendecomposed; its eigenspaces must
-    be one-dimensional or the build refuses.  Its eigenbasis, moved by
-    rho(conjugator), is an eigenbasis of each torus.
+    Every torus generator is conjugate to the reference generator t0 of
+    torus 0 (whose conjugator is the identity), so only rho(t0) is
+    eigendecomposed; its eigenspaces must be one-dimensional or the build
+    refuses.  Its eigenbasis, moved by rho(conjugator), is an eigenbasis
+    of each torus.
     """
     p = field.p
     tori = nonsplit_tori(field)
-    c = tori[0].conjugator
-    t0 = sl2_mul(sl2_mul(sl2_inv(c), tori[0].generator), c)
+    t0 = tori[0].generator
     dec = eig_unitary(rho(t0).matrix)
     if dec.multiplicities != [1] * p:
         raise ValueError("unexpected degenerate spectrum: non-split "
                          f"generator {t0} at p={p} has multiplicities "
                          f"{dec.multiplicities}")
-    return _transported("oscillator_nonsplit", field, dec.vectors().T,
-                        [T.conjugator for T in tori])
+    return _chirp_orbits("oscillator_nonsplit", field, dec.vectors().T,
+                         [T.conjugator for T in tori[::p]])
 
 
 def oscillator_dictionary(field: FpField) -> Dictionary:

@@ -65,13 +65,6 @@ class FpField:
     def __repr__(self):
         return f"FpField({self.p})"
 
-    def element(self, value: int) -> "FpElement":
-        return FpElement(value, self)
-
-    def elements(self):
-        """All p field elements in residue order."""
-        return [FpElement(v, self) for v in range(self.p)]
-
     # -- integer-level helpers (used heavily by the numeric layers) --
 
     def inv(self, a: int) -> int:
@@ -131,72 +124,3 @@ class FpField:
             x = (x * g) % self.p
         return table
 
-
-class FpElement:
-    """A residue in [0, p) tied to its field."""
-
-    __slots__ = ("value", "field")
-
-    def __init__(self, value: int, field: FpField):
-        self.value = value % field.p
-        self.field = field
-
-    def _coerce(self, other) -> "FpElement":
-        if isinstance(other, FpElement):
-            if other.field != self.field:
-                raise ValueError("mismatched moduli: "
-                                 f"{self.field.p} vs {other.field.p}")
-            return other
-        if isinstance(other, int):
-            return FpElement(other, self.field)
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        return FpElement(self.value + other.value, self.field)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        return FpElement(self.value - other.value, self.field)
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        return FpElement(self.value * other.value, self.field)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return FpElement(-self.value, self.field)
-
-    def __pow__(self, n: int):
-        return FpElement(pow(self.value, n, self.field.p), self.field)
-
-    def inv(self) -> "FpElement":
-        return FpElement(self.field.inv(self.value), self.field)
-
-    def legendre(self) -> int:
-        return self.field.legendre(self.value)
-
-    def order(self) -> int:
-        return self.field.element_order(self.value)
-
-    def __eq__(self, other):
-        if isinstance(other, FpElement):
-            return self.value == other.value and self.field == other.field
-        if isinstance(other, int):
-            return self.value == other % self.field.p
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.value, self.field.p))
-
-    def __int__(self):
-        return self.value
-
-    def __repr__(self):
-        return f"{self.value} (mod {self.field.p})"

@@ -34,29 +34,24 @@ def is_unitary(A: np.ndarray, tol: float = UNITARY_TOL) -> bool:
     return A.shape[0] == A.shape[1] and unitarity_defect(A) <= tol
 
 
-def phase_normalize(v: np.ndarray) -> np.ndarray:
-    """Rotate v so its largest-magnitude entry is real positive.
+def phase_pivots(M: np.ndarray) -> np.ndarray:
+    """Column of each row's first largest-magnitude entry.
 
-    Ties in magnitude (within 1e-9 relative) go to the smallest index, so
-    the convention is stable against last-ulp noise.
+    Magnitudes within 1e-9 relative of the row maximum count as ties,
+    which go to the smallest index, so the choice is stable against
+    last-ulp noise.
     """
-    mags = np.abs(v)
-    top = mags.max()
-    if top == 0.0:
-        return v.copy()
-    idx = int(np.nonzero(mags >= top * (1.0 - 1e-9))[0][0])
-    pivot = v[idx]
-    return v * (abs(pivot) / pivot)
+    mags = np.abs(M)
+    top = mags.max(axis=1, keepdims=True)
+    return (mags >= top * (1.0 - 1e-9)).argmax(axis=1)
 
 
 def phase_normalize_rows(M: np.ndarray) -> np.ndarray:
-    """Apply the phase_normalize convention to every row of M at once."""
-    mags = np.abs(M)
-    top = mags.max(axis=1, keepdims=True)
-    first = (mags >= top * (1.0 - 1e-9)).argmax(axis=1)
-    pivot = M[np.arange(M.shape[0]), first]
+    """Rotate every row of M so its phase pivot is real positive; zero
+    rows pass through."""
+    pivot = M[np.arange(M.shape[0]), phase_pivots(M)]
     scale = np.ones(M.shape[0], dtype=np.complex128)
-    nz = top[:, 0] > 0.0
+    nz = pivot != 0
     scale[nz] = np.abs(pivot[nz]) / pivot[nz]
     return M * scale[:, None]
 
@@ -134,12 +129,8 @@ def eig_unitary(A: np.ndarray, tol: float = CLUSTER_TOL) -> EigenDecomposition:
 
     # shift by tol so an eigenvalue 1 rounded to angle -1e-16 ranks first
     order = np.argsort((np.angle(reps) + tol) % (2 * np.pi))
-    bases = []
-    for k in order:
-        cols = Z[:, np.sort(groups[k])]
-        cols = np.column_stack([phase_normalize(cols[:, j])
-                                for j in range(cols.shape[1])])
-        bases.append(cols)
+    Z = phase_normalize_rows(Z.T).T
+    bases = [Z[:, np.sort(groups[k])] for k in order]
     return EigenDecomposition(
         eigenvalues=reps[order],
         bases=bases,

@@ -5,26 +5,30 @@ action on the plane.  Two families of maximal commutative subgroups
 (tori) matter here:
 
 * split tori, the conjugates of the diagonal subgroup A, cyclic of
-  order p-1; they are parametrized by the representative set R of
-  matrices [[1, b], [c, 1+bc]] with the (b, c) ~ (-b, (1+bc)/b)
-  identification, giving p(p+1)/2 of them;
+  order p-1; there are p(p+1)/2 of them, one per matrix of the
+  representative set R;
 * non-split tori, cyclic of order p+1, diagonalizable only over
-  F_{p^2}; there are p(p-1)/2 distinct ones, enumerated by conjugating
-  a reference torus over the whole group.
+  F_{p^2}; there are p(p-1)/2 of them.
 
 Every torus is the unit-determinant group of the 2-dimensional algebra
 span{I, m} spanned by any of its regular elements m, so the projective
 direction of the traceless part of m is a cheap canonical key for
 subgroup identity; with m0 = [[e, b], [c, -e]], the torus is split when
 e^2 + bc is a nonzero square and non-split when it is a nonsquare.
+
+Both families are listed orbit-major.  The lower unipotent
+U(x) = [[1, 0], [x, 1]] acts freely on the tori of each kind by
+conjugation, keeping a key's b and sending its e to e - x b, so each
+family is a union of orbits of p tori, one orbit per seed torus: entry
+j*p + x is seed torus j conjugated by U(x), and its conjugator is U(x)
+times that of entry j*p.  Under the Weil representation rho(U(x)) is
+the chirp M_x, which is what lets the dictionary builders transport
+only the seeds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
-
-import numpy as np
 
 from .field import FpField, prime_factors
 from .heisenberg import HeisenbergElement
@@ -218,102 +222,50 @@ def torus_key(m: SL2Element) -> tuple:
     raise AssertionError
 
 
-def torus_order(T: TorusDescriptor) -> int:
-    p = T.generator.field.p
-    return p - 1 if T.kind == "split" else p + 1
-
-
-def torus_elements(T: TorusDescriptor) -> frozenset:
-    """All elements of the torus, as entry tuples (generator powers)."""
-    els = []
-    g = sl2_identity(T.generator.field)
-    for _ in range(torus_order(T)):
-        els.append(g.entries())
-        g = sl2_mul(g, T.generator)
-    return frozenset(els)
-
-
 def split_representatives(field: FpField) -> list:
-    """The set R: one matrix [[1, b], [c, 1+bc]] per split torus.
+    """The set R: entry b*p + c is [[1, b], [c, 1+bc]] = U(c) [[1, b], [0, 1]].
 
-    For b = 0 each c gives a distinct torus.  For b != 0 the matrices
-    with parameters (b, c) and (-b, (1+bc)/b) conjugate A to the same
-    torus; the lexicographically smaller pair is kept.  |R| = p(p+1)/2.
+    For b = 0 each c gives a distinct torus.  For b != 0 the pairs (b, c)
+    and (-b, (1+bc)/b) conjugate A to the same torus, so b runs over
+    0..(p-1)/2 only.  |R| = p(p+1)/2.
     """
     p = field.p
-    reps = []
-    for c in range(p):
-        reps.append(SL2Element(1, 0, c, 1, field))
-    for b in range(1, p):
-        for c in range(p):
-            partner = ((-b) % p, ((1 + b * c) * field.inv(b)) % p)
-            if (b, c) <= partner:
-                reps.append(SL2Element(1, b, c, 1 + b * c, field))
-    assert len(reps) == p * (p + 1) // 2
-    return reps
-
-
-def split_tori(field: FpField) -> list:
-    """Descriptors for all split tori, generated from the smallest field
-    generator r: T = g A g^-1 with generator g diag(r, 1/r) g^-1."""
-    r = field.mult_generator()
-    d = diagonal(r, field)
-    tori = []
-    for g in split_representatives(field):
-        gen = sl2_mul(sl2_mul(g, d), sl2_inv(g))
-        tori.append(TorusDescriptor("split", g, gen))
-    return tori
-
-
-def _first_nonsplit_generator(field: FpField) -> SL2Element:
-    """Lex-first element with irreducible characteristic polynomial and
-    order exactly p+1: it generates a non-split torus."""
-    p = field.p
-    for t in sl2_element_tuples(p):
-        tr = (t[0] + t[3]) % p
-        if field.legendre(tr * tr - 4) != -1:
-            continue
-        g = SL2Element(*t, field)
-        if _has_order(g, p + 1):
-            return g
-    raise RuntimeError(f"no order-{p + 1} element found in SL2(F_{p})")
+    return [SL2Element(1, b, c, 1 + b * c, field)
+            for b in range((p + 1) // 2) for c in range(p)]
 
 
 def nonsplit_tori(field: FpField) -> list:
-    """All distinct non-split maximal tori, by conjugating one reference
-    torus over the group in scan order and deduplicating subgroups.
+    """All p(p-1)/2 non-split tori; entry j*p + x has conjugator U(x) h_j.
 
-    The normalizer of a non-split torus has order 2(p+1), so this yields
-    p(p-1)/2 subgroups.  Each descriptor's generator g t0 g^-1 has order
-    p+1 and its conjugator is the first group element reaching the torus.
-    The conjugation and the torus_key normalisation run as one numpy pass
-    over all group elements.
+    c_j is the j-th nonsquare in increasing order and h_j conjugates the
+    reference torus, key (0, 1, c_0), to the torus with key (0, 1, c_j).
+    The reference torus is {x I + y m0 : x^2 - c_0 y^2 = 1} with
+    m0 = [[0, 1], [c_0, 0]]; its generator t0 is its first element of
+    order p+1 in (x, y) order.  With c = c_j, the matrix
+    h_j = [[l d, b], [l c b, d]], where l^2 = c_0/c and d^2 - c b^2 = 1/l
+    (least l, then least b, then least d), has determinant 1 and
+    conjugates m0 to l [[0, 1], [c, 0]]; h_0 is the identity.  Each
+    generator is g t0 g^-1 for the entry's conjugator g.
     """
     p = field.p
-    t0 = _first_nonsplit_generator(field)
-    a0, b0, c0, d0 = t0.entries()
-    count = p ** 3 - p
-    g = np.fromiter(chain.from_iterable(sl2_element_tuples(p)),
-                    dtype=np.int64, count=4 * count).reshape(count, 4)
-    a, b, c, d = g.T
-    # m = g t0 g^-1 with g = [[a,b],[c,d]], inverse [[d,-b],[-c,a]]
-    x, y = (a * a0 + b * c0) % p, (a * b0 + b * d0) % p
-    z, w = (c * a0 + d * c0) % p, (c * b0 + d * d0) % p
-    m = [(x * d - y * c) % p, (y * a - x * b) % p,
-         (z * d - w * c) % p, (w * a - z * b) % p]
-    del x, y, z, w  # the p^3-long temporaries set the peak memory here
-    # torus_key: (e, b, c) scaled so its first nonzero entry is 1; m is
-    # never central, having order p+1
-    e = ((m[0] - m[3]) * field.half()) % p
-    inverse = np.zeros(p, dtype=np.int64)
-    inverse[1:] = [pow(v, p - 2, p) for v in range(1, p)]
-    scale = inverse[np.where(e != 0, e, np.where(m[1] != 0, m[1], m[2]))]
-    key = ((e * scale % p) * p + m[1] * scale % p) * p + m[2] * scale % p
-    _, first = np.unique(key, return_index=True)
-    first.sort()
-    tori = [TorusDescriptor("nonsplit", SL2Element(*gi, field),
-                            SL2Element(*mi, field))
-            for gi, mi in zip(g[first].tolist(),
-                              np.stack(m, axis=1)[first].tolist())]
-    assert len(tori) == p * (p - 1) // 2
+    root = {}
+    for v in range(p):
+        root.setdefault(v * v % p, v)
+    nonsquares = [c for c in range(1, p) if field.legendre(c) == -1]
+    c0 = nonsquares[0]
+    t0 = next(g for g in (SL2Element(x, y, c0 * y, x, field)
+                          for x in range(p) for y in range(p)
+                          if (x * x - c0 * y * y) % p == 1)
+              if _has_order(g, p + 1))
+    tori = []
+    for c in nonsquares:
+        lam = root[c0 * field.inv(c) % p]
+        norm = field.inv(lam)
+        b = next(b for b in range(p) if (norm + c * b * b) % p in root)
+        d = root[(norm + c * b * b) % p]
+        h = SL2Element(lam * d, b, lam * c * b, d, field)
+        for x in range(p):
+            g = sl2_mul(unipotent(x, field), h)
+            tori.append(TorusDescriptor("nonsplit", g,
+                                        sl2_mul(sl2_mul(g, t0), sl2_inv(g))))
     return tori

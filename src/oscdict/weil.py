@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import FpElement, FpField
+from .field import FpField
 from .heisenberg import HeisenbergElement, pi
 from .linalg import phase_table
 from .sl2 import BruhatFactorization, SL2Element, bruhat, sp_action
@@ -34,27 +34,6 @@ def _chirp_phases(field: FpField, u: int) -> np.ndarray:
     t = np.arange(p)
     coeff = (-(u % p) * field.half()) % p
     return phase_table(p)[(coeff * ((t * t) % p)) % p]
-
-
-def scaling_op(a: FpElement) -> np.ndarray:
-    """S_a: the permutation t -> a*t scaled by the sign sigma(a).
-
-    S_a delta_b = sigma(a) delta_{ab}; S_1 is the identity.
-    """
-    field = a.field
-    p = field.p
-    a_val = int(a) % p
-    if a_val == 0:
-        raise ValueError("scaling by zero")
-    m = np.zeros((p, p), dtype=np.complex128)
-    cols = np.arange(p)
-    m[(a_val * cols) % p, cols] = field.legendre(a_val)
-    return m
-
-
-def chirp_op(u: FpElement) -> np.ndarray:
-    """M_u = diag(psi(-(u/2) t^2)); M_0 is the identity and M_u M_v = M_{u+v}."""
-    return np.diag(_chirp_phases(u.field, int(u)))
 
 
 @functools.lru_cache(maxsize=8)

@@ -18,6 +18,7 @@ from oscdict.dictionary import (Dictionary, heisenberg_dictionary,
                                 oscillator_dictionary, split_oscillator)
 from oscdict.field import FpField
 from oscdict.heisenberg import HeisenbergElement, pi
+from oscdict.linalg import phase_table
 
 
 def test_dictionary_bound():
@@ -236,25 +237,85 @@ def test_histogram_counts_equal_np_histogram_at_edges():
     assert acc.counts.sum() == values.size
 
 
+def _split_draws(d, samples, seed):
+    """The (i, j) pairs the sampled coherence scan draws, in order."""
+    gids, n = d.group_ids, len(d)
+    rng = np.random.default_rng(seed)
+    pairs = []
+    while len(pairs) < samples:
+        remaining = samples - len(pairs)
+        i = rng.integers(0, n, size=min(4 * remaining, 400_000))
+        j = rng.integers(0, n, size=i.size)
+        keep = gids[i] != gids[j]
+        take = min(remaining, 100_000)
+        pairs += zip(i[keep][:take].tolist(), j[keep][:take].tolist())
+    return pairs
+
+
+def _shift_draws(d, samples, seed):
+    """The (i, j, tau, w) the sampled shifted scan draws (one pass)."""
+    n, p = d.vectors.shape
+    rng = np.random.default_rng(seed)
+    i, j = rng.integers(0, n, size=samples), rng.integers(0, n, size=samples)
+    v = rng.integers(1, p * p, size=samples)
+    return list(zip(i.tolist(), j.tolist(), (v // p).tolist(),
+                    (v % p).tolist()))
+
+
+def _assert_oracle_admits(report, keys, vals):
+    """The oracle fixes a scan's max, argmax and counts only up to values
+    within 1e-15 of each other or of a bin edge, which rounding decides:
+    the argmax must be one of the tied maxima and each count must lie
+    between the values clear of the edges and those plus the edge values
+    either side."""
+    assert report.max_coherence == pytest.approx(vals.max(), abs=1e-15)
+    assert vals[keys.index(report.argmax)] == pytest.approx(vals.max(),
+                                                            abs=1e-15)
+    edges = np.linspace(0.0, 1.0, 51)
+    at = np.abs(vals[:, None] - edges[None, :]) <= 1e-15
+    near = at[:, 1:-1].any(axis=1)
+    clear = np.histogram(np.clip(vals[~near], 0, 1), edges)[0]
+    per_edge = at[near].sum(axis=0)
+    per_edge[[0, -1]] = 0
+    counts = report.histogram_counts
+    assert counts.sum() == len(vals)
+    assert np.all(clear <= counts)
+    assert np.all(counts <= clear + per_edge[:-1] + per_edge[1:])
+
+
 def test_sampled_scans_frozen_across_chunks():
     # regression values of the one-gather scans these chunked scans
-    # replaced; 10_001 samples span several chunks and end on a partial one
+    # replaced; 10_001 samples span several chunks and end on a partial
+    # one.  An oracle on the same draws (np.vdot per pair) checks the pins
     d = split_oscillator(FpField(11))
+    keys = _split_draws(d, 10_001, 2)
+    V = d.vectors
+    vals = np.array([abs(np.vdot(V[j], V[i])) for i, j in keys])
     r = coherence(d, mode="sampled", samples=10_001, seed=2)
-    assert r.max_coherence == pytest.approx(0.8753028244566728, abs=1e-15)
-    assert r.argmax == (287, 8)
+    _assert_oracle_admits(r, keys, vals)
+    assert r.max_coherence == pytest.approx(0.8753028244566725, abs=1e-15)
+    assert r.argmax == (513, 45)
     assert r.pairs_evaluated == 10_001
     assert r.histogram_counts.tolist() == [
-        5019, 62, 38, 127, 53, 0, 394, 42, 0, 89, 82, 282, 156, 49, 131, 100,
-        279, 346, 0, 317, 372, 104, 176, 0, 209, 337, 303, 33, 71, 87, 111,
+        5019, 62, 38, 127, 53, 0, 394, 42, 0, 88, 83, 282, 156, 49, 131, 100,
+        279, 346, 0, 316, 373, 104, 176, 0, 209, 337, 303, 33, 71, 95, 103,
         56, 423, 0, 0, 0, 0, 21, 72, 17, 23, 0, 0, 20, 0, 0, 0, 0, 0, 0]
     u = oscillator_dictionary(FpField(7))
+    p, V = u.prime, u.vectors
+    keys = _shift_draws(u, 10_001, 2)
+    psi, t, half = phase_table(p), np.arange(p), FpField(p).half()
+    # pi(tau, w, 0) psi_j, entry t: psi(w (t + tau) - tau w / 2) psi_j(t + tau)
+    vals = np.array([abs(np.vdot(V[j][(t + tau) % p]
+                                 * psi[(w * (t + tau) - half * tau * w) % p],
+                                 V[i]))
+                     for i, j, tau, w in keys])
     r = shifted_coherence(u, mode="sampled", samples=10_001, seed=2)
-    assert r.max_coherence == pytest.approx(0.8356989742082694, abs=1e-15)
-    assert r.argmax == (207, 139, 0, 4)
+    _assert_oracle_admits(r, keys, vals)
+    assert r.max_coherence == pytest.approx(0.8356989742082698, abs=1e-15)
+    assert r.argmax == (105, 184, 3, 4)
     assert r.pairs_evaluated == 10_001
     assert r.histogram_counts.tolist() == [
-        37, 91, 131, 157, 147, 253, 256, 310, 337, 378, 358, 363, 458, 471,
-        457, 462, 469, 473, 464, 467, 482, 365, 343, 261, 318, 251, 265, 179,
-        174, 155, 113, 109, 104, 83, 82, 72, 43, 18, 21, 2, 13, 9, 0, 0, 0,
-        0, 0, 0, 0, 0]
+        44, 72, 111, 135, 201, 263, 243, 302, 381, 384, 351, 380, 459, 463,
+        455, 443, 446, 488, 451, 433, 461, 387, 346, 264, 311, 260, 237, 189,
+        194, 149, 143, 112, 80, 82, 72, 84, 52, 25, 26, 4, 12, 6, 0, 0, 0, 0,
+        0, 0, 0, 0]

@@ -9,17 +9,25 @@ reproduce at the identity representative.
 import numpy as np
 import pytest
 
-from oscdict.dictionary import (Atom, Dictionary, assert_unit_norms,
-                                expected_size, extended_dictionary,
-                                heisenberg_dictionary, line_directions,
-                                nonsplit_oscillator, oscillator_dictionary,
-                                split_oscillator, standard_torus_basis,
+from oscdict.dictionary import (Dictionary, assert_unit_norms, expected_size,
+                                extended_dictionary, heisenberg_dictionary,
+                                line_directions, nonsplit_oscillator,
+                                oscillator_dictionary, split_oscillator,
                                 unit_norm_defect, _standard_basis_matrix)
 from oscdict.field import FpField
 from oscdict.heisenberg import HeisenbergElement, pi
-from oscdict.linalg import phase_table
-from oscdict.weil import rho, scaling_op
-from oscdict.sl2 import diagonal, nonsplit_tori, split_representatives
+from oscdict.linalg import eig_unitary, phase_table
+from oscdict.weil import rho
+from oscdict.sl2 import nonsplit_tori, split_representatives
+
+
+def scaling_op(field, a):
+    """Oracle S_a: the permutation t -> a*t scaled by the sign sigma(a)."""
+    p = field.p
+    m = np.zeros((p, p), dtype=np.complex128)
+    cols = np.arange(p)
+    m[(a * cols) % p, cols] = field.legendre(a)
+    return m
 
 
 def test_expected_size_formulas():
@@ -42,9 +50,8 @@ def test_dictionary_class_mechanics():
     assert d.n_groups == 6
     assert d.group_slice(0) == slice(0, 5)
     assert d.group_matrix(3).shape == (5, 5)
-    a = d.atom(7)
-    assert isinstance(a, Atom)
-    assert (a.group, a.member, a.shift) == (1, 2, (0, 0))
+    assert (d.group_ids[7], d.member_ids[7]) == (1, 2)
+    assert d.shifts[7].tolist() == [0, 0]
     assert "heisenberg" in repr(d) and "30" in repr(d)
 
 
@@ -119,16 +126,11 @@ def test_heisenberg_cross_line_coherence_exact():
 def test_standard_basis_vectors():
     p = 5
     f = FpField(p)
-    atoms = standard_torus_basis(f)
-    assert len(atoms) == p - 2
     B = _standard_basis_matrix(f)
     assert B.shape == (p - 2, p)
     assert np.all(B[:, 0] == 0.0)
     assert np.allclose(B[:, 1], 1 / np.sqrt(p - 1))  # t=1 real positive
     assert np.max(np.abs(B @ B.conj().T - np.eye(p - 2))) < 1e-12
-    for m, a in enumerate(atoms):
-        assert a.member == m and a.group == 0
-        assert np.array_equal(a.vector, B[m])
 
 
 def test_standard_basis_diagonalizes_scalings():
@@ -137,7 +139,7 @@ def test_standard_basis_diagonalizes_scalings():
     f = FpField(p)
     B = _standard_basis_matrix(f)
     for a in range(1, p):
-        S = scaling_op(f.element(a))
+        S = scaling_op(f, a)
         for m in range(p - 2):
             v = B[m]
             w = S @ v
@@ -169,14 +171,39 @@ def test_split_identity_group_is_standard_basis():
 
 
 def test_split_groups_are_transported_standard_basis():
-    # group i is rho(g_i) applied to the standard basis, row-wise, up to phase
-    f = FpField(5)
-    d = split_oscillator(f)
-    B = _standard_basis_matrix(f)
-    for i, g in enumerate(split_representatives(f)):
-        want = B @ rho(g).matrix.T
-        G = np.abs(d.group_matrix(i) @ want.conj().T)
-        assert np.max(np.abs(np.diag(G) - 1.0)) < 1e-12
+    # group g is its reference basis moved by rho of its conjugator, row by
+    # row up to a phase: the standard basis by R's entries for the split
+    # family, the eigenbasis of the reference generator by the descriptor
+    # conjugators for the non-split one
+    for p in (5, 7, 11, 13):
+        f = FpField(p)
+        t0 = nonsplit_tori(f)[0].generator
+        cases = [
+            (split_oscillator(f), _standard_basis_matrix(f),
+             split_representatives(f)),
+            (nonsplit_oscillator(f), eig_unitary(rho(t0).matrix).vectors().T,
+             [T.conjugator for T in nonsplit_tori(f)]),
+        ]
+        for d, B, conjugators in cases:
+            assert d.n_groups == len(conjugators)
+            for i, g in enumerate(conjugators):
+                want = B @ rho(g).matrix.T
+                G = np.abs(d.group_matrix(i) @ want.conj().T)
+                assert np.max(np.abs(np.diag(G) - 1.0)) < 1e-12
+
+
+def test_atom_phase_pivot_is_real_positive():
+    # each atom's first largest-magnitude entry (ties within 1e-9
+    # relative go to the smaller index) is real and positive
+    for p in (5, 7, 11):
+        f = FpField(p)
+        for d in (split_oscillator(f), nonsplit_oscillator(f)):
+            mags = np.abs(d.vectors)
+            top = mags.max(axis=1, keepdims=True)
+            first = (mags >= top * (1.0 - 1e-9)).argmax(axis=1)
+            pivot = d.vectors[np.arange(len(d)), first]
+            assert np.max(np.abs(pivot.imag)) <= 1e-15
+            assert np.all(pivot.real > 0)
 
 
 def test_nonsplit_oscillator():
@@ -233,9 +260,8 @@ def test_extended_dictionary():
                           np.zeros((len(base), 2), dtype=np.int64))
     # shift provenance and group refinement
     i = 3 * p * len(base) + 2 * len(base) + 7  # shift (3, 2), base atom 7
-    a = ext.atom(i)
-    assert a.shift == (3, 2)
-    assert a.member == int(base.member_ids[7])
+    assert ext.shifts[i].tolist() == [3, 2]
+    assert ext.member_ids[i] == base.member_ids[7]
     assert (ext.group_ids[i]
             == base.group_ids[7] + (3 * p + 2) * base.n_groups)
     # every translated group stays orthonormal

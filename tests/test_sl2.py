@@ -3,7 +3,8 @@
 Torus enumeration is checked against brute-force oracles: split tori by
 conjugating the diagonal subgroup over the whole group and counting
 distinct subgroups, non-split tori by collecting the cyclic subgroups
-generated by all order-(p+1) elements.
+generated by all order-(p+1) elements.  The orbit-major order of both
+lists is checked entry by entry against U(x) times the orbit's seed.
 """
 
 import numpy as np
@@ -11,11 +12,34 @@ import pytest
 
 from oscdict.field import FpField
 from oscdict.heisenberg import HeisenbergElement, h_mul
-from oscdict.sl2 import (BruhatFactorization, SL2Element, bruhat, diagonal,
-                         nonsplit_tori, sl2_elements, sl2_identity, sl2_inv,
-                         sl2_mul, sl2_order, sl2_pow, sp_action,
-                         split_representatives, split_tori, torus_elements,
-                         torus_key, torus_order, unipotent, weyl_element)
+from oscdict.sl2 import (BruhatFactorization, SL2Element, TorusDescriptor,
+                         bruhat, diagonal, nonsplit_tori, sl2_elements,
+                         sl2_identity, sl2_inv, sl2_mul, sl2_order, sl2_pow,
+                         sp_action, split_representatives, torus_key,
+                         unipotent, weyl_element)
+
+
+def torus_order(T):
+    p = T.generator.field.p
+    return p - 1 if T.kind == "split" else p + 1
+
+
+def torus_elements(T):
+    """All elements of the torus, as entry tuples (generator powers)."""
+    els = []
+    g = sl2_identity(T.generator.field)
+    for _ in range(torus_order(T)):
+        els.append(g.entries())
+        g = sl2_mul(g, T.generator)
+    return frozenset(els)
+
+
+def split_tori(field):
+    """Descriptors T = g A g^-1 over R, generated by g diag(r, 1/r) g^-1
+    for the smallest field generator r."""
+    d = diagonal(field.mult_generator(), field)
+    return [TorusDescriptor("split", g, sl2_mul(sl2_mul(g, d), sl2_inv(g)))
+            for g in split_representatives(field)]
 
 
 def random_element(field, rng):
@@ -199,7 +223,7 @@ def brute_nonsplit_subgroups(field):
 
 
 def test_nonsplit_tori_against_bruteforce():
-    for p in (5, 7):
+    for p in (5, 7, 11):
         f = FpField(p)
         tori = nonsplit_tori(f)
         assert len(tori) == p * (p - 1) // 2
@@ -214,43 +238,30 @@ def test_nonsplit_tori_against_bruteforce():
             assert f.legendre(tr * tr - 4) == -1
 
 
-def scalar_nonsplit_tori(field):
-    """Reference: the element-by-element scan that nonsplit_tori runs as
-    one array pass; first descriptor per torus_key, in scan order."""
-    from oscdict.sl2 import (TorusDescriptor, _first_nonsplit_generator,
-                             sl2_element_tuples)
-    t0 = _first_nonsplit_generator(field)
-    a0, b0, c0, d0 = t0.entries()
-    seen = {}
-    for (a, b, c, d) in sl2_element_tuples(field.p):
-        x, y = a * a0 + b * c0, a * b0 + b * d0
-        z, w = c * a0 + d * c0, c * b0 + d * d0
-        m = SL2Element(x * d - y * c, -x * b + y * a,
-                       z * d - w * c, -z * b + w * a, field)
-        seen.setdefault(torus_key(m), TorusDescriptor(
-            "nonsplit", SL2Element(a, b, c, d, field), m))
-    return list(seen.values())
-
-
-def test_nonsplit_tori_matches_scalar_scan():
+def test_tori_are_listed_orbit_major():
+    # entry j*p + x is U(x) times entry j*p: R's entries themselves, the
+    # non-split conjugators
     for p in (5, 7, 11, 13):
         f = FpField(p)
-        tori = nonsplit_tori(f)
-        assert tori == scalar_nonsplit_tori(f)
-        assert all(type(x) is int for T in tori
-                   for x in T.conjugator.entries() + T.generator.entries())
+        reps = split_representatives(f)
+        conjugators = [T.conjugator for T in nonsplit_tori(f)]
+        for entries in (reps, conjugators):
+            for k, g in enumerate(entries):
+                seed = entries[k - k % p]
+                assert g == sl2_mul(unipotent(k % p, f), seed)
 
 
 def test_first_nonsplit_generator_frozen():
-    from oscdict.sl2 import _first_nonsplit_generator
-    assert _first_nonsplit_generator(FpField(5)).entries() == (0, 1, 4, 1)
-    assert _first_nonsplit_generator(FpField(7)).entries() == (0, 1, 6, 3)
-    # ... and the reference torus shows up in the enumerated list
-    for p in (5, 7):
+    # the reference torus {x I + y m0 : x^2 - c0 y^2 = 1}, m0 = [[0,1],[c0,0]]
+    # with c0 the least nonsquare, comes first with the identity conjugator;
+    # its generator is the first (x, y) of order p+1:
+    # p = 5: c0 = 2, t0 = 3 I + 2 m0;  p = 7: c0 = 3, t0 = 2 I + 1 m0
+    for p, c0, x, y in ((5, 2, 3, 2), (7, 3, 2, 1)):
         f = FpField(p)
-        t0 = _first_nonsplit_generator(f)
-        assert any(t0.entries() in torus_elements(T)
-                   for T in nonsplit_tori(f))
+        T = nonsplit_tori(f)[0]
+        assert T.generator.entries() == (x, y, c0 * y % p, x)
+        assert T.conjugator == sl2_identity(f)
+        assert torus_key(T.generator) == (0, 1, c0)
 
 
 def test_circle_group_is_a_nonsplit_torus():
