@@ -17,6 +17,6 @@ from .sparse import (RecoveryError, SparseRepresentation, omp,
                      recovery_experiment, synthesize, thresholding)
 from .storage import (CorruptDictionaryError, load_dictionary, load_signal,
                       save_dictionary, save_signal)
-from .weil import WeilOperator, egorov_defect, fourier_op, rho, scalar_defect
+from .weil import egorov_defect, fourier_op, rho, scalar_defect
 
 __version__ = "0.1.0"

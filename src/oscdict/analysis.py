@@ -20,7 +20,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .field import FpField
-from .linalg import phase_table
+from .heisenberg import translate_rows
 
 EXHAUSTIVE_PAIR_LIMIT = 50_000_000
 DEFAULT_SAMPLES = 1_000_000
@@ -231,6 +231,8 @@ def _coherence_exhaustive(dictionary, cross_pairs: int) -> CoherenceReport:
 
 def _coherence_sampled(dictionary, samples: int, seed: int
                        ) -> CoherenceReport:
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     V = dictionary.vectors
     gids = dictionary.group_ids
     n = len(V)
@@ -289,14 +291,6 @@ def babel_profile(dictionary, k: int) -> float:
     return worst
 
 
-def _shift_phases(field: FpField, tau: int, w: int) -> tuple:
-    """Column permutation and phases realizing pi(tau, w, 0) on rows."""
-    p = field.p
-    cols = (np.arange(p) + tau) % p
-    phases = phase_table(p)[(-field.half() * tau * w + w * cols) % p]
-    return cols, phases
-
-
 def shifted_coherence(dictionary, mode: str = "auto",
                       samples: int = DEFAULT_SAMPLES, seed: int = 0
                       ) -> CoherenceReport:
@@ -316,20 +310,16 @@ def shifted_coherence(dictionary, mode: str = "auto",
         mode = "exhaustive" if total <= EXHAUSTIVE_PAIR_LIMIT else "sampled"
     acc = _ScanAccumulator()
     if mode == "exhaustive":
-        for tau in range(p):
-            for w in range(p):
-                if tau == 0 and w == 0:
-                    continue
-                cols, phases = _shift_phases(field, tau, w)
-                shifted = V[:, cols] * phases[None, :]
-                mags = np.abs(V @ shifted.conj().T)
-                acc.feed(mags.reshape(-1),
-                         argmax_of=lambda k, t=tau, ww=w: (
-                             k // n, k % n, t, ww))
+        for v in range(1, p * p):
+            tau, w = divmod(v, p)
+            mags = np.abs(V @ translate_rows(V, tau, w, field).conj().T)
+            acc.feed(mags.reshape(-1), argmax_of=lambda k, t=tau, ww=w: (
+                k // n, k % n, t, ww))
         used_seed = None
     elif mode == "sampled":
+        if samples < 1:
+            raise ValueError(f"samples must be at least 1, got {samples}")
         rng = np.random.default_rng(seed)
-        phases = phase_table(p)
         remaining = samples
         while remaining > 0:
             m = min(remaining, 200_000)
@@ -340,12 +330,8 @@ def shifted_coherence(dictionary, mode: str = "auto",
             for lo in range(0, m, _PAIR_CHUNK):
                 c = slice(lo, lo + _PAIR_CHUNK)
                 ci, cj, ct, cw = i[c], j[c], tau[c], w[c]
-                # pi(tau, w, 0) applied row-wise with per-row shift parameters
-                cols = (np.arange(p)[None, :] + ct[:, None]) % p
-                expo = (-field.half() * ct[:, None] * cw[:, None]
-                        + cw[:, None] * cols) % p
-                psi_rows = np.take_along_axis(V[cj], cols, axis=1)
-                psi_rows *= phases[expo]
+                psi_rows = translate_rows(V[cj], ct[:, None], cw[:, None],
+                                          field)
                 acc.feed(_pair_magnitudes(V[ci], psi_rows),
                          argmax_of=lambda k: (int(ci[k]), int(cj[k]),
                                               int(ct[k]), int(cw[k])))

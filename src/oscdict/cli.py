@@ -5,7 +5,7 @@ Exit codes are a stable contract:
   0  success
   1  a proven bound or invariant failed (implementation bug signal)
   2  bad input (composite prime, unknown kind, size mismatch, a build
-     larger than MAX_BUNDLE_BYTES)
+     larger than MAX_BUNDLE_BYTES, a count or sparsity out of range)
   3  I/O failure (missing or unwritable paths)
   4  corrupt dictionary or signal file
   5  sparse recovery failure
@@ -42,8 +42,8 @@ EXIT_IO = 3
 EXIT_CORRUPT = 4
 EXIT_RECOVERY = 5
 
-# largest atoms.bin that build will make; a split or non-split build peaks
-# near one bundle, the union and extended builds, which concatenate, near two
+# largest atoms.bin that build will make; every build writes its atoms once
+# into one preallocated array, so it peaks near one bundle
 MAX_BUNDLE_BYTES = 2 << 30
 
 CLI_KINDS = {
@@ -180,6 +180,10 @@ def cmd_recover(args) -> int:
     except CorruptDictionaryError as e:
         print(f"error: corrupt dictionary: {e}", file=sys.stderr)
         return EXIT_CORRUPT
+    if args.sparsity > len(d):
+        print(f"error: --sparsity {args.sparsity} exceeds {len(d)} atoms",
+              file=sys.stderr)
+        return EXIT_BAD_INPUT
     if args.experiment:
         report = recovery_experiment(d, args.sparsity, args.trials,
                                      seed=args.seed)
@@ -257,7 +261,7 @@ def _selftest_checks(field: FpField):
     yield "Egorov relation over R x generators", worst <= 1e-9, \
         f"defect {worst:.1e}"
 
-    worst = max(unitarity_defect(rho(g).matrix) for g in reps)
+    worst = max(unitarity_defect(rho(g)) for g in reps)
     yield "rho unitary over R", worst <= 1e-10, f"defect {worst:.1e}"
 
     dh = heisenberg_dictionary(field)
@@ -348,14 +352,27 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _argument_error(args) -> str | None:
+    """Why the parsed arguments cannot be run, checked before any load."""
+    if args.command == "coherence" and args.samples < 1:
+        return f"--samples must be at least 1, got {args.samples}"
+    if args.command != "recover":
+        return None
+    if not args.experiment and not args.signal:
+        return "recover needs --signal or --experiment"
+    floor = 1 if args.experiment else 0
+    if args.sparsity < floor:
+        return f"--sparsity must be at least {floor}, got {args.sparsity}"
+    if args.trials < 1:
+        return f"--trials must be at least 1, got {args.trials}"
+    return None
+
+
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
-    if args.command == "recover" and not args.experiment and not args.signal:
-        print("error: recover needs --signal or --experiment",
-              file=sys.stderr)
-        return EXIT_BAD_INPUT
-    if args.command == "recover" and args.experiment and args.sparsity < 1:
-        print("error: --experiment needs --sparsity >= 1", file=sys.stderr)
+    msg = _argument_error(args)
+    if msg:
+        print(f"error: {msg}", file=sys.stderr)
         return EXIT_BAD_INPUT
     return args.func(args)
 

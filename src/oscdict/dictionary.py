@@ -25,10 +25,13 @@ the psi(m) order for Heisenberg lines (member m has pi(l0)-eigenvalue
 psi(m)), the character order for split tori, and the reference
 eigen-angle order for non-split tori.
 
-Atoms are stored atom-major in one contiguous complex array; every atom
-is unit norm and phase-normalized (its first largest-magnitude entry is
-real positive), and all orderings (groups, members, shifts) are fixed,
-so builds are bit-reproducible.
+Every build writes its atoms once, atom-major, into one complex array
+sized up front (the union runs both families through one
+``_chirp_orbits`` call, the extended family fills one slice per shift),
+so it peaks near one bundle.  Every atom is unit norm and
+phase-normalized (its first largest-magnitude entry is real positive),
+and all orderings (groups, members, shifts) are fixed, so builds are
+bit-reproducible.
 """
 
 from __future__ import annotations
@@ -36,8 +39,9 @@ from __future__ import annotations
 import numpy as np
 
 from .field import FpField
-from .linalg import (UNIT_NORM_TOL, eig_unitary, phase_normalize_rows,
-                     phase_pivots, phase_table)
+from .heisenberg import translate_rows
+from .linalg import (eig_unitary, phase_normalize_rows, phase_pivots,
+                     phase_table)
 from .sl2 import (SL2Element, nonsplit_tori, split_representatives,
                   weyl_element)
 from .weil import rho
@@ -114,41 +118,48 @@ def _transported(kind: str, field: FpField, reference: np.ndarray,
                  conjugators) -> Dictionary:
     """One group per conjugator g: the rows of reference moved by rho(g),
     phase-normalized, in reference order."""
-    blocks = [phase_normalize_rows(reference @ rho(g).matrix.T)
-              for g in conjugators]
-    n = reference.shape[0]
-    return Dictionary(kind, field.p, np.vstack(blocks),
-                      np.repeat(np.arange(len(blocks)), n),
-                      np.tile(np.arange(n), len(blocks)))
+    m, p = reference.shape
+    out = np.empty((len(conjugators), m, p), dtype=np.complex128)
+    for block, g in zip(out, conjugators):
+        block[...] = phase_normalize_rows(reference @ rho(g).T)
+    return Dictionary(kind, p, out.reshape(-1, p),
+                      *np.divmod(np.arange(len(out) * m), m))
 
 
-def _chirp_orbits(kind: str, field: FpField, reference: np.ndarray,
-                  seeds) -> Dictionary:
-    """Group j*p + x: the rows of reference moved by rho(U(x) g_j), for
-    the seed conjugators g_j.
+def _chirp_orbits(kind: str, field: FpField, families) -> Dictionary:
+    """Each (reference, seeds) family's orbit groups in turn, in one array.
 
-    rho(U(x) g) = M_x rho(g), so each seed group is transported once and
-    then multiplied by the p chirps.  A chirp leaves magnitudes alone, so
+    Group j*p + x of a family holds the rows of its reference moved by
+    rho(U(x) g_j), for the seed conjugators g_j.  rho(U(x) g) =
+    M_x rho(g), so each seed group is transported once and then
+    multiplied by the p chirps.  A chirp leaves magnitudes alone, so
     seed row r keeps its phase pivot k_r across the orbit, and only the
     chirp phase there is divided out: atom entry t is
     seed[r, t] psi(-(x/2)(t^2 - k_r^2)).
     """
     p = field.p
-    m = reference.shape[0]
     t = np.arange(p)
     t2 = t * t % p
     chirp = phase_table(p)[np.outer(t, -field.half() * t) % p]  # psi(-(x/2)s)
-    out = np.empty((len(seeds), p, m, p), dtype=np.complex128)
-    for block, g in zip(out, seeds):
-        seed = phase_normalize_rows(reference @ rho(g).matrix.T)
-        s = (t2[None, :] - t2[phase_pivots(seed)][:, None]) % p
-        for x, atoms in enumerate(block):
-            np.take(chirp[x], s, out=atoms, mode="clip")
-            atoms *= seed
-    n_groups = len(seeds) * p
-    return Dictionary(kind, p, out.reshape(n_groups * m, p),
-                      np.repeat(np.arange(n_groups), m),
-                      np.tile(np.arange(m), n_groups))
+    n = sum(len(seeds) * p * len(reference) for reference, seeds in families)
+    vectors = np.empty((n, p), dtype=np.complex128)
+    group_ids = np.empty(n, dtype=np.int64)
+    member_ids = np.empty(n, dtype=np.int64)
+    lo = first_group = 0
+    for reference, seeds in families:
+        m = len(reference)
+        hi = lo + len(seeds) * p * m
+        out = vectors[lo:hi].reshape(len(seeds), p, m, p)
+        for block, g in zip(out, seeds):
+            seed = phase_normalize_rows(reference @ rho(g).T)
+            s = (t2[None, :] - t2[phase_pivots(seed)][:, None]) % p
+            for x, atoms in enumerate(block):
+                np.take(chirp[x], s, out=atoms, mode="clip")
+                atoms *= seed
+        group_ids[lo:hi], member_ids[lo:hi] = np.divmod(np.arange(hi - lo), m)
+        group_ids[lo:hi] += first_group
+        lo, first_group = hi, first_group + len(seeds) * p
+    return Dictionary(kind, p, vectors, group_ids, member_ids)
 
 
 def heisenberg_dictionary(field: FpField) -> Dictionary:
@@ -184,18 +195,15 @@ def _standard_basis_matrix(field: FpField) -> np.ndarray:
     return B
 
 
-def split_oscillator(field: FpField) -> Dictionary:
-    """D_O^s: p(p+1)/2 split tori, p-2 atoms each; the seeds are the
-    representatives [[1, b], [0, 1]], and the identity representative
-    reproduces the standard basis exactly."""
-    return _chirp_orbits("oscillator_split", field,
-                         _standard_basis_matrix(field),
-                         split_representatives(field)[::field.p])
+def _split_family(field: FpField) -> tuple:
+    """Reference and seeds of D_O^s: the standard basis, and the
+    representatives [[1, b], [0, 1]], the first of them the identity."""
+    return (_standard_basis_matrix(field),
+            split_representatives(field)[::field.p])
 
 
-def nonsplit_oscillator(field: FpField) -> Dictionary:
-    """D_O^ns: one orthonormal eigenbasis of rho(generator) per non-split
-    torus.
+def _nonsplit_family(field: FpField) -> tuple:
+    """Reference and seeds of D_O^ns.
 
     Every torus generator is conjugate to the reference generator t0 of
     torus 0 (whose conjugator is the identity), so only rho(t0) is
@@ -206,69 +214,55 @@ def nonsplit_oscillator(field: FpField) -> Dictionary:
     p = field.p
     tori = nonsplit_tori(field)
     t0 = tori[0].generator
-    dec = eig_unitary(rho(t0).matrix)
+    dec = eig_unitary(rho(t0))
     if dec.multiplicities != [1] * p:
         raise ValueError("unexpected degenerate spectrum: non-split "
                          f"generator {t0} at p={p} has multiplicities "
                          f"{dec.multiplicities}")
-    return _chirp_orbits("oscillator_nonsplit", field, dec.vectors().T,
-                         [T.conjugator for T in tori[::p]])
+    return dec.vectors().T, [T.conjugator for T in tori[::p]]
+
+
+def split_oscillator(field: FpField) -> Dictionary:
+    """D_O^s: p(p+1)/2 split tori, p-2 atoms each."""
+    return _chirp_orbits("oscillator_split", field, [_split_family(field)])
+
+
+def nonsplit_oscillator(field: FpField) -> Dictionary:
+    """D_O^ns: p(p-1)/2 non-split tori, p atoms each."""
+    return _chirp_orbits("oscillator_nonsplit", field,
+                         [_nonsplit_family(field)])
 
 
 def oscillator_dictionary(field: FpField) -> Dictionary:
     """D_O = D_O^s union D_O^ns, split groups first."""
-    ds = split_oscillator(field)
-    dn = nonsplit_oscillator(field)
-    return Dictionary(
-        "oscillator", field.p,
-        np.vstack([ds.vectors, dn.vectors]),
-        np.concatenate([ds.group_ids, dn.group_ids + ds.n_groups]),
-        np.concatenate([ds.member_ids, dn.member_ids]),
-    )
+    return _chirp_orbits("oscillator", field,
+                         [_split_family(field), _nonsplit_family(field)])
 
 
 def extended_dictionary(base: Dictionary) -> Dictionary:
     """All plane translates pi(tau, w, 0) of an oscillator dictionary.
 
-    Shifts are enumerated (0,0), (0,1), ..., (p-1,p-1), so the first
-    slice is the base dictionary itself; group ids refine to (shift,
-    base group) pairs, preserving orthonormality within groups.
+    Shift v = tau*p + w is enumerated (0,0), (0,1), ..., (p-1,p-1) and
+    fills slice v of one (p^2, n, p) array, so slice 0 is the base
+    dictionary itself, bit for bit; group ids refine to (shift, base
+    group) pairs, preserving orthonormality within groups.
     """
     if base.kind not in OSCILLATOR_KINDS:
         raise ValueError(f"cannot extend a {base.kind!r} dictionary")
     field = FpField(base.prime)
-    p = field.p
-    psi = phase_table(p)
-    half = field.half()
-    t = np.arange(p)
-    blocks, gids, mids, shifts = [], [], [], []
-    for tau in range(p):
-        cols = (t + tau) % p
-        shifted = base.vectors[:, cols]
-        for w in range(p):
-            if tau == 0 and w == 0:
-                # pi(0,0,0) is the identity: copy the base bit-exactly
-                blocks.append(base.vectors)
-                gids.append(base.group_ids)
-                mids.append(base.member_ids)
-                shifts.append(np.broadcast_to((0, 0), (len(base), 2)))
-                continue
-            phases = psi[(-half * tau * w + w * cols) % p]
-            blocks.append(phase_normalize_rows(shifted * phases[None, :]))
-            gids.append(base.group_ids + (tau * p + w) * base.n_groups)
-            mids.append(base.member_ids)
-            shifts.append(np.broadcast_to((tau, w), (len(base), 2)))
-    return Dictionary("extended", p, np.vstack(blocks),
-                      np.concatenate(gids), np.concatenate(mids),
-                      np.vstack(shifts))
+    p, n = field.p, len(base)
+    shifts = np.indices((p, p)).reshape(2, -1).T  # row v is (tau, w)
+    out = np.empty((p * p, n, p), dtype=np.complex128)
+    out[0] = base.vectors
+    for v in range(1, p * p):
+        out[v] = phase_normalize_rows(
+            translate_rows(base.vectors, *shifts[v], field))
+    gids = base.group_ids + base.n_groups * np.arange(p * p)[:, None]
+    return Dictionary("extended", p, out.reshape(-1, p), gids.reshape(-1),
+                      np.tile(base.member_ids, p * p),
+                      np.repeat(shifts, n, axis=0))
 
 
 def unit_norm_defect(d: Dictionary) -> float:
     """max |  ||atom|| - 1 | over the dictionary."""
     return float(np.max(np.abs(np.linalg.norm(d.vectors, axis=1) - 1.0)))
-
-
-def assert_unit_norms(d: Dictionary, tol: float = UNIT_NORM_TOL) -> None:
-    defect = unit_norm_defect(d)
-    if defect > tol:
-        raise ValueError(f"atom norms off unit by {defect:.2e}")

@@ -80,3 +80,15 @@ def pi(h: HeisenbergElement) -> np.ndarray:
     M = np.zeros((p, p), dtype=complex)
     M[t, cols] = phases
     return M
+
+
+def translate_rows(rows: np.ndarray, tau, w, field: FpField) -> np.ndarray:
+    """rows @ pi(tau, w, 0).T as a new complex array: entry t of each row
+    becomes psi(-(1/2) tau w + w (t + tau)) row[t + tau].  tau and w are
+    ints, or (k, 1) arrays that give each of the k rows its own shift."""
+    p = field.p
+    cols = (np.arange(p) + tau) % p
+    out = rows[:, cols] if cols.ndim == 1 \
+        else np.take_along_axis(rows, cols, axis=1)
+    out *= phase_table(p)[(-field.half() * tau * w + w * cols) % p]
+    return out

@@ -18,14 +18,13 @@ scalar correction is attempted.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
 from .field import FpField
 from .heisenberg import HeisenbergElement, pi
 from .linalg import phase_table
-from .sl2 import BruhatFactorization, SL2Element, bruhat, sp_action
+from .sl2 import SL2Element, bruhat, sp_action
 
 
 def _chirp_phases(field: FpField, u: int) -> np.ndarray:
@@ -49,17 +48,8 @@ def fourier_op(field: FpField) -> np.ndarray:
     return F
 
 
-@dataclass(frozen=True)
-class WeilOperator:
-    """rho(g) together with how it was synthesized."""
-
-    matrix: np.ndarray
-    source: SL2Element
-    factorization: BruhatFactorization
-
-
-def rho(g: SL2Element) -> WeilOperator:
-    """The Weil operator of g, composed through its Bruhat cell.
+def rho(g: SL2Element) -> np.ndarray:
+    """The Weil matrix of g, composed through its Bruhat cell.
 
     Assembled in O(p^2): the chirps are diagonal scalings and S_a is a
     signed row permutation, so only F ever contributes a dense block.
@@ -76,7 +66,7 @@ def rho(g: SL2Element) -> WeilOperator:
         m = np.empty((p, p), dtype=np.complex128)
         m[rows] = sign * (fourier_op(field) * _chirp_phases(field, fac.u1)[None, :])
     m *= _chirp_phases(field, fac.u2)[:, None]
-    return WeilOperator(m, g, fac)
+    return m
 
 
 def scalar_defect(left: np.ndarray, right: np.ndarray) -> float:
@@ -96,7 +86,7 @@ def egorov_defect(g: SL2Element, h: HeisenbergElement) -> float:
     identities are exact, so conjugation transports pi along the plane
     action of g with scalar 1.
     """
-    r = rho(g).matrix
+    r = rho(g)
     left = r @ pi(h) @ r.conj().T
     right = pi(sp_action(g, h))
     return scalar_defect(left, right)

@@ -167,7 +167,7 @@ def test_criterion_07_explicit_formula_crosscheck(report):
     for p in (7, 11):
         f = FpField(p)
         r = f.mult_generator()
-        dec = eig_unitary(rho(diagonal(r, f)).matrix)
+        dec = eig_unitary(rho(diagonal(r, f)))
         singles = [dec.bases[i][:, 0] for i in range(len(dec.bases))
                    if dec.multiplicities[i] == 1]
         doubles = [i for i in range(len(dec.bases))

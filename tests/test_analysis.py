@@ -183,6 +183,14 @@ def test_shifted_coherence_bad_mode():
         shifted_coherence(d, mode="psychic")
 
 
+def test_sampled_scans_reject_no_samples():
+    d = split_oscillator(FpField(5))
+    for scan in (coherence, shifted_coherence):
+        for samples in (0, -1):
+            with pytest.raises(ValueError, match="samples"):
+                scan(d, mode="sampled", samples=samples)
+
+
 def _damaged_heisenberg(field):
     """Heisenberg lines with one atom stretched and two made
     non-orthogonal, so the within-group defect is far from rounding."""

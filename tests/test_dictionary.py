@@ -9,14 +9,15 @@ reproduce at the identity representative.
 import numpy as np
 import pytest
 
-from oscdict.dictionary import (Dictionary, assert_unit_norms, expected_size,
+from oscdict.dictionary import (Dictionary, expected_size,
                                 extended_dictionary, heisenberg_dictionary,
                                 line_directions, nonsplit_oscillator,
                                 oscillator_dictionary, split_oscillator,
                                 unit_norm_defect, _standard_basis_matrix)
 from oscdict.field import FpField
 from oscdict.heisenberg import HeisenbergElement, pi
-from oscdict.linalg import eig_unitary, phase_table
+from oscdict.linalg import (UNIT_NORM_TOL, eig_unitary, phase_normalize_rows,
+                            phase_table)
 from oscdict.weil import rho
 from oscdict.sl2 import nonsplit_tori, split_representatives
 
@@ -77,8 +78,7 @@ def test_heisenberg_dictionary_structure():
         d = heisenberg_dictionary(f)
         assert len(d) == p * (p + 1)
         assert d.n_groups == p + 1
-        assert unit_norm_defect(d) < 1e-12
-        assert_unit_norms(d)
+        assert unit_norm_defect(d) <= UNIT_NORM_TOL
         for g in range(d.n_groups):
             B = d.group_matrix(g)
             assert np.max(np.abs(B @ B.conj().T - np.eye(p))) < 1e-12
@@ -181,13 +181,13 @@ def test_split_groups_are_transported_standard_basis():
         cases = [
             (split_oscillator(f), _standard_basis_matrix(f),
              split_representatives(f)),
-            (nonsplit_oscillator(f), eig_unitary(rho(t0).matrix).vectors().T,
+            (nonsplit_oscillator(f), eig_unitary(rho(t0)).vectors().T,
              [T.conjugator for T in nonsplit_tori(f)]),
         ]
         for d, B, conjugators in cases:
             assert d.n_groups == len(conjugators)
             for i, g in enumerate(conjugators):
-                want = B @ rho(g).matrix.T
+                want = B @ rho(g).T
                 G = np.abs(d.group_matrix(i) @ want.conj().T)
                 assert np.max(np.abs(np.diag(G) - 1.0)) < 1e-12
 
@@ -226,10 +226,52 @@ def test_nonsplit_atoms_are_generator_eigenvectors():
         d = nonsplit_oscillator(f)
         for g, T in enumerate(nonsplit_tori(f)):
             B = d.group_matrix(g)
-            W = B @ rho(T.generator).matrix.T
+            W = B @ rho(T.generator).T
             lam = np.sum(W * B.conj(), axis=1)
             assert np.max(np.abs(np.abs(lam) - 1.0)) < 1e-10
             assert np.max(np.abs(W - lam[:, None] * B)) < 1e-10
+
+
+def _concatenated_union(field):
+    """Oracle: the union assembled from its two families, stacked."""
+    ds, dn = split_oscillator(field), nonsplit_oscillator(field)
+    return Dictionary(
+        "oscillator", field.p, np.vstack([ds.vectors, dn.vectors]),
+        np.concatenate([ds.group_ids, dn.group_ids + ds.n_groups]),
+        np.concatenate([ds.member_ids, dn.member_ids]))
+
+
+def _concatenated_extended(base):
+    """Oracle: the p^2 translates built block by block, then stacked;
+    pi(tau, w, 0) is written out here rather than taken from the package."""
+    p = base.prime
+    f = FpField(p)
+    psi = phase_table(p)
+    t = np.arange(p)
+    blocks, gids, mids, shifts = [], [], [], []
+    for tau in range(p):
+        cols = (t + tau) % p
+        for w in range(p):
+            if tau == 0 and w == 0:
+                blocks.append(base.vectors)
+            else:
+                phases = psi[(-f.half() * tau * w + w * cols) % p]
+                blocks.append(phase_normalize_rows(
+                    base.vectors[:, cols] * phases[None, :]))
+            gids.append(base.group_ids + (tau * p + w) * base.n_groups)
+            mids.append(base.member_ids)
+            shifts.append(np.tile([tau, w], (len(base), 1)))
+    return Dictionary("extended", p, np.vstack(blocks),
+                      np.concatenate(gids), np.concatenate(mids),
+                      np.vstack(shifts))
+
+
+def _assert_bit_identical(got, want):
+    assert got.kind == want.kind and got.prime == want.prime
+    for name in ("vectors", "group_ids", "member_ids", "shifts"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
 
 
 def test_oscillator_union():
@@ -243,6 +285,11 @@ def test_oscillator_union():
     assert np.array_equal(d.vectors[:len(ds)], ds.vectors)
     assert np.array_equal(d.vectors[len(ds):], dn.vectors)
     assert d.group_ids[len(ds)] == ds.n_groups
+    # the one-array build equals the stacked families bit for bit
+    for p in (5, 7, 11):
+        f = FpField(p)
+        _assert_bit_identical(oscillator_dictionary(f),
+                              _concatenated_union(f))
 
 
 def test_extended_dictionary():
@@ -269,6 +316,15 @@ def test_extended_dictionary():
     for g in rng.integers(0, ext.n_groups, size=10):
         B = ext.group_matrix(int(g))
         assert np.max(np.abs(B @ B.conj().T - np.eye(len(B)))) < 1e-12
+    # the one-array build equals the stacked translates bit for bit, over
+    # each oscillator base
+    for p in (5, 7, 11):
+        f = FpField(p)
+        for build in (split_oscillator, nonsplit_oscillator,
+                      oscillator_dictionary):
+            base = build(f)
+            _assert_bit_identical(extended_dictionary(base),
+                                  _concatenated_extended(base))
 
 
 def test_extended_orbit_is_injective():
@@ -301,11 +357,3 @@ def test_builds_are_bit_reproducible():
         assert np.array_equal(a.vectors, b.vectors)
         assert np.array_equal(a.group_ids, b.group_ids)
         assert np.array_equal(a.member_ids, b.member_ids)
-
-
-def test_assert_unit_norms_raises():
-    f = FpField(5)
-    d = heisenberg_dictionary(f)
-    d.vectors[4] *= 1.5
-    with pytest.raises(ValueError, match="unit"):
-        assert_unit_norms(d)

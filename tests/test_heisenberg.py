@@ -10,7 +10,7 @@ import pytest
 
 from oscdict.field import FpField
 from oscdict.heisenberg import (HeisenbergElement, h_inv, h_mul, identity,
-                                omega, pi)
+                                omega, pi, translate_rows)
 from oscdict.linalg import phase_table, unitarity_defect
 
 
@@ -151,3 +151,19 @@ def test_pi_entry_formula():
         want = psi[(3 - half * 1 * 2 + 2 * col) % p]
         assert M[t, col] == want
         assert np.count_nonzero(M[t]) == 1
+
+
+def test_translate_rows_is_pi_on_rows():
+    # every row is moved by pi(tau, w, 0): rows @ pi.T, one root of unity
+    # times one entry per output entry
+    p = 7
+    f = FpField(p)
+    rng = np.random.default_rng(5)
+    rows = rng.normal(size=(4, p)) + 1j * rng.normal(size=(4, p))
+    for tau in range(p):
+        for w in range(p):
+            P = pi(HeisenbergElement(tau, w, 0, f))
+            got = translate_rows(rows, tau, w, f)
+            assert got.shape == rows.shape
+            assert np.max(np.abs(got - rows @ P.T)) < 1e-13
+    assert np.array_equal(translate_rows(rows, 0, 0, f), rows)

@@ -370,6 +370,29 @@ def test_recover_argument_errors(tmp_path, capsys):
     assert main(["recover", out, "--signal",
                  str(tmp_path / "ghost.bin")]) == 3
     capsys.readouterr()
+    # counts out of range: one error line each, no traceback
+    save_signal(sig, np.ones(5, dtype=complex))
+    for argv in (["--experiment", "--sparsity", "2", "--trials", "0"],
+                 ["--experiment", "--sparsity", "2", "--trials", "-1"],
+                 ["--experiment", "--sparsity", "31"],
+                 ["--signal", sig, "--sparsity", "31"],
+                 ["--signal", sig, "--sparsity", "-1"]):
+        assert main(["recover", out] + argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, argv
+
+
+def test_coherence_argument_errors(tmp_path, capsys):
+    out = str(tmp_path / "h5")
+    assert main(["build", "--prime", "5", "--out", out]) == 0
+    capsys.readouterr()
+    for samples in ("0", "-3"):
+        assert main(["coherence", out, "--mode", "sampled",
+                     "--samples", samples]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --samples")
+        assert captured.err.count("\n") == 1
 
 
 def test_recover_reports_recovery_failure(tmp_path, capsys, monkeypatch):
