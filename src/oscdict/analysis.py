@@ -267,7 +267,7 @@ def _pair_magnitudes(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     return np.abs(np.einsum("ij,ij->i", left, right))
 
 
-def verify_orthonormal(group: np.ndarray, tol: float = 1e-10) -> float:
+def verify_orthonormal(group: np.ndarray) -> float:
     """max |<phi_i, phi_j> - delta_ij| over a stack of row vectors."""
     group = np.atleast_2d(np.asarray(group))
     gram = group @ group.conj().T

@@ -4,11 +4,15 @@ sparse recovery, and self-test the algebraic invariants.
 Exit codes are a stable contract:
   0  success
   1  a proven bound or invariant failed (implementation bug signal)
-  2  bad input (composite prime, unknown kind, size mismatch, a build
-     larger than MAX_BUNDLE_BYTES, a count or sparsity out of range)
-  3  I/O failure (missing or unwritable paths)
+  2  bad input (composite prime, unknown kind, size mismatch, a build or
+     a selftest (both oscillator families) above MAX_BUNDLE_BYTES, a
+     count or sparsity out of range)
+  3  I/O failure (missing or unwritable paths, a path of the wrong type)
   4  corrupt dictionary or signal file
   5  sparse recovery failure
+
+Commands raise; ``main`` alone maps each failure to its exit code and
+one ``error:`` line.  Any other exception is a bug and propagates.
 """
 
 from __future__ import annotations
@@ -21,9 +25,8 @@ import time
 import numpy as np
 
 from .analysis import coherence, verify_orthonormal
-from .dictionary import (expected_size, extended_dictionary,
-                         heisenberg_dictionary, nonsplit_oscillator,
-                         oscillator_dictionary, split_oscillator,
+from .dictionary import (BUILDERS, expected_size, heisenberg_dictionary,
+                         nonsplit_oscillator, split_oscillator,
                          unit_norm_defect)
 from .field import FpField, is_prime
 from .heisenberg import HeisenbergElement, h_mul, pi
@@ -46,62 +49,43 @@ EXIT_RECOVERY = 5
 # into one preallocated array, so it peaks near one bundle
 MAX_BUNDLE_BYTES = 2 << 30
 
-CLI_KINDS = {
-    "heisenberg": "heisenberg",
-    "oscillator-split": "oscillator_split",
-    "oscillator-nonsplit": "oscillator_nonsplit",
-    "oscillator": "oscillator",
-    "extended": "extended",
-}
+
+class BadInput(Exception):
+    """A request that cannot be run as given (exit 2)."""
 
 
-def _check_prime(p: int) -> str | None:
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # one error line and exit 2, like any refusal
+        raise BadInput(f"{self.prog}: {message}")
+
+
+def _field(p: int, kind: str) -> FpField:
+    """F_p for a request holding as many atoms as one bundle of kind.
+
+    p >= 5 is checked first (a negative p can give a positive size), then
+    the size, so a huge p is refused before any trial division.
+    """
     if p < 5:
-        return f"prime must be at least 5, got {p}"
+        raise BadInput(f"prime must be at least 5, got {p}")
+    size = bundle_blob_size(expected_size(kind, p), p)
+    if size > MAX_BUNDLE_BYTES:
+        raise BadInput(f"p={p} needs {size / 2**30:.3g} GiB of {kind} "
+                       f"atoms, over the {MAX_BUNDLE_BYTES / 2**30:.0f} "
+                       f"GiB limit")
     if not is_prime(p):
-        return f"{p} is not prime"
-    return None
-
-
-def build_kind(kind_cli: str, field: FpField):
-    kind = CLI_KINDS[kind_cli]
-    if kind == "heisenberg":
-        return heisenberg_dictionary(field)
-    if kind == "oscillator_split":
-        return split_oscillator(field)
-    if kind == "oscillator_nonsplit":
-        return nonsplit_oscillator(field)
-    if kind == "oscillator":
-        return oscillator_dictionary(field)
-    return extended_dictionary(oscillator_dictionary(field))
+        raise BadInput(f"{p} is not prime")
+    return FpField(p)
 
 
 def cmd_build(args) -> int:
-    msg = _check_prime(args.prime)
-    if msg:
-        print(f"error: {msg}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    size = bundle_blob_size(expected_size(CLI_KINDS[args.kind], args.prime),
-                            args.prime)
-    if size > MAX_BUNDLE_BYTES:
-        print(f"error: kind {args.kind} at p={args.prime} needs a "
-              f"{size / 2**30:.1f} GiB bundle, over the "
-              f"{MAX_BUNDLE_BYTES / 2**30:.0f} GiB limit", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    field = FpField(args.prime)
+    kind = args.kind.replace("-", "_")
+    field = _field(args.prime, kind)
     t0 = time.perf_counter()
-    d = build_kind(args.kind, field)
+    d = BUILDERS[kind](field)
     build_seconds = time.perf_counter() - t0
-    try:
-        save_dictionary(d, args.out)
-    except OSError as e:
-        print(f"error: cannot write {args.out}: {e}", file=sys.stderr)
-        return EXIT_IO
+    save_dictionary(d, args.out)
     print(f"built kind={args.kind} p={args.prime} atoms={len(d)} "
           f"groups={d.n_groups} wall={build_seconds:.3f}s -> {args.out}")
-    print(f"counts: atoms={len(d)} expected={expected_size(d.kind, d.prime)} "
-          f"ops: group-builds={d.n_groups} "
-          f"gram-free build, all orderings deterministic")
     return EXIT_OK
 
 
@@ -144,14 +128,7 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def cmd_coherence(args) -> int:
-    try:
-        d = load_dictionary(args.dictionary)
-    except FileNotFoundError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_IO
-    except CorruptDictionaryError as e:
-        print(f"error: corrupt dictionary: {e}", file=sys.stderr)
-        return EXIT_CORRUPT
+    d = load_dictionary(args.dictionary)
     rep = coherence(d, mode=args.mode, samples=args.samples, seed=args.seed)
     if args.format == "json":
         text = json.dumps(rep.to_dict(), indent=2, sort_keys=True) + "\n"
@@ -159,11 +136,7 @@ def cmd_coherence(args) -> int:
         text = _report_csv(rep)
     else:
         text = _report_text(rep)
-    try:
-        _emit(text, args.out)
-    except OSError as e:
-        print(f"error: cannot write {args.out}: {e}", file=sys.stderr)
-        return EXIT_IO
+    _emit(text, args.out)
     if rep.bound_vacuous or rep.bound_holds:
         return EXIT_OK
     print(f"error: coherence {rep.max_coherence:.6f} exceeds proven bound "
@@ -172,46 +145,21 @@ def cmd_coherence(args) -> int:
 
 
 def cmd_recover(args) -> int:
-    try:
-        d = load_dictionary(args.dictionary)
-    except FileNotFoundError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_IO
-    except CorruptDictionaryError as e:
-        print(f"error: corrupt dictionary: {e}", file=sys.stderr)
-        return EXIT_CORRUPT
+    d = load_dictionary(args.dictionary)
     if args.sparsity > len(d):
-        print(f"error: --sparsity {args.sparsity} exceeds {len(d)} atoms",
-              file=sys.stderr)
-        return EXIT_BAD_INPUT
+        raise BadInput(f"--sparsity {args.sparsity} exceeds {len(d)} atoms")
     if args.experiment:
         report = recovery_experiment(d, args.sparsity, args.trials,
                                      seed=args.seed)
-        text = json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
-        try:
-            _emit(text, args.out)
-        except OSError as e:
-            print(f"error: cannot write {args.out}: {e}", file=sys.stderr)
-            return EXIT_IO
+        _emit(json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n",
+              args.out)
         return EXIT_OK
-    try:
-        f = load_signal(args.signal)
-    except FileNotFoundError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_IO
-    except CorruptDictionaryError as e:
-        print(f"error: corrupt signal: {e}", file=sys.stderr)
-        return EXIT_CORRUPT
+    f = load_signal(args.signal)
     if len(f) != d.prime:
-        print(f"error: signal length {len(f)} != dictionary dimension "
-              f"{d.prime}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+        raise BadInput(f"signal length {len(f)} != dictionary dimension "
+                       f"{d.prime}")
     k = args.sparsity if args.sparsity else d.prime
-    try:
-        rep = omp(d, f, max_support=k)
-    except RecoveryError as e:
-        print(f"error: recovery failed: {e}", file=sys.stderr)
-        return EXIT_RECOVERY
+    rep = omp(d, f, max_support=k)
     for i, c in zip(rep.support, rep.coefficients):
         print(f"{i} {c.real:+.12e}{c.imag:+.12e}j")
     print(f"residual {rep.residual_norm:.3e}")
@@ -294,11 +242,9 @@ def _selftest_checks(field: FpField):
 
 
 def cmd_selftest(args) -> int:
-    msg = _check_prime(args.prime)
-    if msg:
-        print(f"error: {msg}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    field = FpField(args.prime)
+    # the checks hold the split and the non-split family at once: as many
+    # atoms as their union
+    field = _field(args.prime, "oscillator")
     failures = 0
     for name, ok, detail in _selftest_checks(field):
         status = "PASS" if ok else "FAIL"
@@ -312,7 +258,7 @@ def cmd_selftest(args) -> int:
 
 
 def make_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="oscdict",
         description="Deterministic low-coherence dictionaries in C^p from "
                     "Heisenberg and Weil representation eigenbases.")
@@ -320,7 +266,8 @@ def make_parser() -> argparse.ArgumentParser:
 
     b = sub.add_parser("build", help="build a dictionary bundle")
     b.add_argument("--prime", type=int, required=True)
-    b.add_argument("--kind", choices=sorted(CLI_KINDS), default="heisenberg")
+    b.add_argument("--kind", default="heisenberg",
+                   choices=sorted(k.replace("_", "-") for k in BUILDERS))
     b.add_argument("--out", required=True, help="output directory")
     b.set_defaults(func=cmd_build)
 
@@ -352,29 +299,37 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _argument_error(args) -> str | None:
-    """Why the parsed arguments cannot be run, checked before any load."""
+def _check_arguments(args) -> None:
+    """Refuse parsed arguments that cannot be run, before any load."""
     if args.command == "coherence" and args.samples < 1:
-        return f"--samples must be at least 1, got {args.samples}"
+        raise BadInput(f"--samples must be at least 1, got {args.samples}")
     if args.command != "recover":
-        return None
+        return
     if not args.experiment and not args.signal:
-        return "recover needs --signal or --experiment"
+        raise BadInput("recover needs --signal or --experiment")
     floor = 1 if args.experiment else 0
     if args.sparsity < floor:
-        return f"--sparsity must be at least {floor}, got {args.sparsity}"
+        raise BadInput(f"--sparsity must be at least {floor}, "
+                       f"got {args.sparsity}")
     if args.trials < 1:
-        return f"--trials must be at least 1, got {args.trials}"
-    return None
+        raise BadInput(f"--trials must be at least 1, got {args.trials}")
 
 
 def main(argv=None) -> int:
-    args = make_parser().parse_args(argv)
-    msg = _argument_error(args)
-    if msg:
-        print(f"error: {msg}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    return args.func(args)
+    try:
+        args = make_parser().parse_args(argv)
+        _check_arguments(args)
+        return args.func(args)
+    except BadInput as e:
+        code, message = EXIT_BAD_INPUT, str(e)
+    except OSError as e:
+        code, message = EXIT_IO, str(e)
+    except CorruptDictionaryError as e:
+        code, message = EXIT_CORRUPT, f"corrupt {e.what}: {e}"
+    except RecoveryError as e:
+        code, message = EXIT_RECOVERY, f"recovery failed: {e}"
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -46,9 +46,6 @@ from .sl2 import (SL2Element, nonsplit_tori, split_representatives,
                   weyl_element)
 from .weil import rho
 
-KINDS = ("heisenberg", "oscillator_split", "oscillator_nonsplit",
-         "oscillator", "extended")
-
 OSCILLATOR_KINDS = ("oscillator_split", "oscillator_nonsplit", "oscillator")
 
 
@@ -266,3 +263,15 @@ def extended_dictionary(base: Dictionary) -> Dictionary:
 def unit_norm_defect(d: Dictionary) -> float:
     """max |  ||atom|| - 1 | over the dictionary."""
     return float(np.max(np.abs(np.linalg.norm(d.vectors, axis=1) - 1.0)))
+
+
+# each kind's builder, taking F_p; its keys are the kinds Dictionary accepts
+BUILDERS = {
+    "heisenberg": heisenberg_dictionary,
+    "oscillator_split": split_oscillator,
+    "oscillator_nonsplit": nonsplit_oscillator,
+    "oscillator": oscillator_dictionary,
+    "extended": lambda field: extended_dictionary(
+        oscillator_dictionary(field)),
+}
+KINDS = tuple(BUILDERS)

@@ -144,9 +144,11 @@ def recovery_experiment(dictionary, sparsity: int, trials: int,
     by (seed, trial) so trials are independently reproducible), then
     checks the recovered support and coefficients.
     """
-    if sparsity < 1:
-        raise ValueError("sparsity must be at least 1")
     n = len(dictionary)
+    if not 1 <= sparsity <= n:
+        raise ValueError(f"sparsity must be in [1, {n}], got {sparsity}")
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     successes = 0
     failed = []
     errors = []

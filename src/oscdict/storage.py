@@ -47,6 +47,12 @@ ATOMS_NAME = "atoms.bin"
 class CorruptDictionaryError(Exception):
     """The file exists but fails an integrity check."""
 
+    what = "dictionary"
+
+
+class CorruptSignalError(CorruptDictionaryError):
+    what = "signal"
+
 
 def bundle_blob_size(count: int, dim: int) -> int:
     """Bytes of the atoms.bin of a bundle of count atoms in C^dim."""
@@ -191,10 +197,14 @@ def save_signal(path: str, f: np.ndarray) -> None:
 
 
 def load_signal(path: str) -> np.ndarray:
-    blob = _read(path)
-    count, dim = _unpack_header(blob, PAYLOAD_SIGNAL,
-                                lambda count, dim: _HEADER.size
-                                + 16 * count * dim)
+    """Load and verify a one-signal file; damage raises CorruptSignalError."""
+    try:
+        blob = _read(path)
+        count, dim = _unpack_header(blob, PAYLOAD_SIGNAL,
+                                    lambda count, dim: _HEADER.size
+                                    + 16 * count * dim)
+    except CorruptDictionaryError as e:
+        raise CorruptSignalError(str(e)) from e
     if count != 1:
-        raise CorruptDictionaryError(f"signal file holds {count} signals")
+        raise CorruptSignalError(f"signal file holds {count} signals")
     return np.frombuffer(blob, "<c16", count=dim, offset=_HEADER.size)

@@ -212,7 +212,7 @@ def test_criterion_08_sparse_recovery(report):
 
 def test_criterion_09_build_time_scaling(report):
     primes = (31, 61, 127)
-    repeats = {31: 3, 61: 3, 127: 2}
+    repeats = {31: 7, 61: 5, 127: 2}
     split_oscillator(FpField(31))  # warm caches and BLAS threads
 
     def build_seconds(p):

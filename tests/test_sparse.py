@@ -164,6 +164,16 @@ def test_recovery_experiment_validates_sparsity():
         recovery_experiment(d, sparsity=0, trials=1)
 
 
+def test_recovery_experiment_validates_trials_and_support_size():
+    d = heisenberg_dictionary(FpField(5))  # 30 atoms
+    for trials in (0, -1):
+        with pytest.raises(ValueError, match="trials"):
+            recovery_experiment(d, sparsity=2, trials=trials)
+    with pytest.raises(ValueError, match="sparsity"):
+        recovery_experiment(d, sparsity=31, trials=1)
+    assert recovery_experiment(d, sparsity=30, trials=1).trials == 1
+
+
 def test_sparse_representation_fields():
     rep = SparseRepresentation([1, 2], np.array([1.0, 2.0j]), 0.0)
     assert rep.support == [1, 2]

@@ -13,8 +13,9 @@ import numpy as np
 import pytest
 
 from oscdict.cli import main
-from oscdict.dictionary import (Dictionary, extended_dictionary,
-                                heisenberg_dictionary, split_oscillator)
+from oscdict.dictionary import (BUILDERS, KINDS, Dictionary,
+                                extended_dictionary, heisenberg_dictionary,
+                                split_oscillator)
 from oscdict.field import FpField
 from oscdict.sparse import RecoveryError
 from oscdict.storage import (ATOMS_NAME, CorruptDictionaryError,
@@ -186,6 +187,12 @@ def test_signal_rejects_dictionary_payload(tmp_path):
 # command line
 # ---------------------------------------------------------------------------
 
+def _one_error_line(capsys):
+    err = capsys.readouterr().err
+    return err.startswith("error: ") and err.count("\n") == 1 \
+        and "Traceback" not in err
+
+
 def test_build_and_coherence_roundtrip(tmp_path, capsys):
     out = str(tmp_path / "h7")
     assert main(["build", "--prime", "7", "--kind", "heisenberg",
@@ -198,13 +205,24 @@ def test_build_and_coherence_roundtrip(tmp_path, capsys):
 
 
 def test_build_kind_mapping(tmp_path, capsys):
-    out = str(tmp_path / "ns5")
-    assert main(["build", "--prime", "5", "--kind", "oscillator-nonsplit",
-                 "--out", out]) == 0
-    capsys.readouterr()
-    d = load_dictionary(out)
-    assert d.kind == "oscillator_nonsplit"
-    assert len(d) == 50  # p(p-1)/2 tori, p atoms each
+    p = 5
+    n_split, n_nonsplit = p * (p + 1) * (p - 2) // 2, p * p * (p - 1) // 2
+    closed_forms = {
+        "heisenberg": ("heisenberg", p * (p + 1)),
+        "oscillator-split": ("oscillator_split", n_split),
+        "oscillator-nonsplit": ("oscillator_nonsplit", n_nonsplit),
+        "oscillator": ("oscillator", n_split + n_nonsplit),
+        "extended": ("extended", p * p * (n_split + n_nonsplit)),
+    }
+    assert {kind for kind, _ in closed_forms.values()} \
+        == set(BUILDERS) == set(KINDS)
+    for cli_kind, (kind, atoms) in closed_forms.items():
+        out = str(tmp_path / cli_kind)
+        assert main(["build", "--prime", str(p), "--kind", cli_kind,
+                     "--out", out]) == 0
+        assert capsys.readouterr().out.count("\n") == 1
+        d = load_dictionary(out)
+        assert (d.kind, len(d)) == (kind, atoms), cli_kind
 
 
 def test_build_rejects_bad_prime(tmp_path, capsys):
@@ -213,6 +231,10 @@ def test_build_rejects_bad_prime(tmp_path, capsys):
     assert main(["build", "--prime", "3", "--out",
                  str(tmp_path / "x")]) == 2
     assert "error" in capsys.readouterr().err
+    # argument errors the parser finds give the same one line
+    for argv in (["--out", "x"], ["--prime", "5", "--kind", "nope"]):
+        assert main(["build"] + argv) == 2, argv
+        assert _one_error_line(capsys), argv
 
 
 def test_build_unwritable_path(tmp_path, capsys):
@@ -225,7 +247,11 @@ def test_build_unwritable_path(tmp_path, capsys):
 
 
 def test_coherence_missing_and_corrupt(tmp_path, capsys):
-    assert main(["coherence", str(tmp_path / "nope")]) == 3
+    regular = tmp_path / "regular.txt"
+    regular.write_text("not a bundle")
+    for path in (tmp_path / "nope", regular):
+        assert main(["coherence", str(path)]) == 3
+        assert _one_error_line(capsys), path
     out = str(tmp_path / "h5")
     assert main(["build", "--prime", "5", "--out", out]) == 0
     corrupt_byte(tmp_path / "h5" / ATOMS_NAME, 50)
@@ -288,17 +314,19 @@ def test_coherence_damaged_bundle_exits_4(tmp_path, capsys, damage):
 
 
 def test_build_refuses_oversized_request(tmp_path, capsys):
-    # the extended family at p=53 would be ~350 GB: refused before any
-    # allocation, with no output directory made
-    out = tmp_path / "x53"
-    t0 = time.perf_counter()
-    code = main(["build", "--kind", "extended", "--prime", "53",
-                 "--out", str(out)])
-    assert time.perf_counter() - t0 < 0.5
-    assert code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert "GiB" in err and not out.exists()
+    # refused before any allocation, with no output directory made: the
+    # extended family at p=53 (~350 GB), and a 19-digit prime, refused by
+    # size before any primality test
+    out = tmp_path / "x"
+    for argv in (["--kind", "extended", "--prime", "53"],
+                 ["--prime", "1000000000000000003"]):
+        t0 = time.perf_counter()
+        code = main(["build"] + argv + ["--out", str(out)])
+        assert time.perf_counter() - t0 < 0.5, argv
+        assert code == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, argv
+        assert "GiB" in err and not out.exists(), argv
 
 
 def test_coherence_json_and_csv_formats(tmp_path, capsys):
@@ -366,10 +394,11 @@ def test_recover_argument_errors(tmp_path, capsys):
     sig = str(tmp_path / "bad.bin")
     save_signal(sig, np.ones(6, dtype=complex))
     assert main(["recover", out, "--signal", sig]) == 2
-    # missing signal file
-    assert main(["recover", out, "--signal",
-                 str(tmp_path / "ghost.bin")]) == 3
     capsys.readouterr()
+    # a missing signal file, and a directory named as the signal
+    for path in (tmp_path / "ghost.bin", tmp_path):
+        assert main(["recover", out, "--signal", str(path)]) == 3
+        assert _one_error_line(capsys), path
     # counts out of range: one error line each, no traceback
     save_signal(sig, np.ones(5, dtype=complex))
     for argv in (["--experiment", "--sparsity", "2", "--trials", "0"],
@@ -434,6 +463,11 @@ def test_selftest_passes(capsys):
 def test_selftest_rejects_composite(capsys):
     assert main(["selftest", "--prime", "9"]) == 2
     assert "not prime" in capsys.readouterr().err
+    # split and non-split atoms together above 2 GiB: refused at once
+    t0 = time.perf_counter()
+    assert main(["selftest", "--prime", "109"]) == 2
+    assert time.perf_counter() - t0 < 0.5
+    assert _one_error_line(capsys)
 
 
 def test_cli_builds_are_reproducible(tmp_path, capsys):
