@@ -7,10 +7,14 @@ line/torus group are orthonormal by construction, and the interesting
 bounds (1/sqrt(p) for the Heisenberg dictionary, 4/sqrt(p) for the
 oscillator families) are statements about pairs from different groups.
 Within-group deviations are reported separately as orthonormality
-defects.  Scans are exhaustive up to 5e7 pairs and seeded-random above,
-processed in fixed-size blocks so memory stays flat: an exhaustive scan
-forms only the upper half of the Gram matrix, one row block at a time,
-and a sampled scan gathers its pairs in chunks of _PAIR_CHUNK.
+defects.  Scans are exhaustive while they compute at most 5e7
+magnitudes and seeded-random above, processed in fixed-size blocks so
+memory stays flat.  An exhaustive scan of chirp orbits (the oscillator
+families, whose group j*p + x is seed group j moved by the chirp
+M_x = rho(U(x))) computes one magnitude per p pairs, from the seed rows
+alone; any other exhaustive scan forms the upper half of the Gram
+matrix, one row block at a time.  A sampled scan gathers its pairs in
+chunks of _PAIR_CHUNK.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
+from .dictionary import chirp_table
 from .field import FpField
 from .heisenberg import translate_rows
 
@@ -26,6 +31,9 @@ EXHAUSTIVE_PAIR_LIMIT = 50_000_000
 DEFAULT_SAMPLES = 1_000_000
 HISTOGRAM_BINS = 50
 _BLOCK_ROWS = 256
+_BLOCK_CELLS = 1 << 20  # magnitudes per block of the orbit scan: 16 MB
+_ORBIT_TOL = 1e-12  # largest orbit defect the orbit scan accepts; its
+# magnitudes are then within twice that of the atoms' own
 _PAIR_CHUNK = 4096  # sampled pairs per gather: a few MB of rows at p ~ 60
 _CELLS = 4096  # histogram cells; a power of two, so value * _CELLS is exact
 
@@ -96,11 +104,12 @@ class _ScanAccumulator:
         self.edges = np.linspace(0.0, 1.0, HISTOGRAM_BINS + 1)
         self.counts = np.zeros(HISTOGRAM_BINS, dtype=np.int64)
 
-    def feed(self, values: np.ndarray, argmax_of=None):
+    def feed(self, values: np.ndarray, argmax_of=None, weight: int = 1):
+        """Take values, each standing for weight equal magnitudes."""
         if values.size == 0:
             return
-        self.count += values.size
-        self.counts += _bin_counts(values)
+        self.count += weight * values.size
+        self.counts += weight * _bin_counts(values)
         k = int(np.argmax(values))
         if values[k] > self.max:
             self.max = float(values[k])
@@ -160,11 +169,13 @@ def coherence(dictionary, mode: str = "auto", samples: int = DEFAULT_SAMPLES,
               seed: int = 0) -> CoherenceReport:
     """Cross-group coherence of a dictionary.
 
-    mode "auto" scans exhaustively when the unordered cross-group pair
-    count is at most 5e7 and falls back to seeded sampling otherwise;
-    "exhaustive" and "sampled" force the choice.  The report also
-    carries the worst within-group orthonormality defect (exhaustive
-    scans only) and a 50-bin histogram of the evaluated magnitudes.
+    mode "auto" scans exhaustively when the scan would compute at most
+    EXHAUSTIVE_PAIR_LIMIT magnitudes (the cross-group pair count, or a
+    p-th of it for chirp orbits) and falls back to seeded sampling
+    otherwise; "exhaustive" and "sampled" force the choice.  The report
+    also carries the worst within-group orthonormality defect
+    (exhaustive scans only) and a 50-bin histogram of the evaluated
+    magnitudes.
     """
     n = len(dictionary)
     if n < 2:
@@ -175,17 +186,107 @@ def coherence(dictionary, mode: str = "auto", samples: int = DEFAULT_SAMPLES,
                                             (group_sizes - 1)))) // 2
     if cross_pairs == 0:
         raise ValueError("coherence undefined: all atoms share one group")
-    if mode == "auto":
-        mode = "exhaustive" if cross_pairs <= EXHAUSTIVE_PAIR_LIMIT \
-            else "sampled"
-    if mode == "exhaustive":
-        return _coherence_exhaustive(dictionary, cross_pairs)
-    if mode == "sampled":
+    if mode not in ("auto", "exhaustive", "sampled"):
+        raise ValueError(f"unknown scan mode {mode!r}")
+    # a chirp-orbit scan computes one magnitude per p cross pairs
+    p = dictionary.prime
+    orbit_defect = None
+    if mode == "exhaustive" or (mode == "auto" and
+                                cross_pairs // p <= EXHAUSTIVE_PAIR_LIMIT):
+        orbit_defect = _orbit_defect(dictionary)
+    computed = cross_pairs if orbit_defect is None else cross_pairs // p
+    if mode == "sampled" or (mode == "auto"
+                             and computed > EXHAUSTIVE_PAIR_LIMIT):
         return _coherence_sampled(dictionary, samples, seed)
-    raise ValueError(f"unknown scan mode {mode!r}")
+    if orbit_defect is None:
+        acc, within = _scan_dense(dictionary)
+    else:
+        acc, within = _scan_orbits(dictionary, orbit_defect)
+    assert acc.count == cross_pairs
+    return CoherenceReport(
+        label="coherence", prime=p, kind=dictionary.kind,
+        bound=dictionary_bound(dictionary.kind, p),
+        max_coherence=acc.max, min_coherence=acc.min, argmax=acc.argmax,
+        mode="exhaustive", seed=None, pairs_evaluated=acc.count,
+        histogram_counts=acc.counts, histogram_edges=acc.edges,
+        within_group_defect=within,
+    )
 
 
-def _coherence_exhaustive(dictionary, cross_pairs: int) -> CoherenceReport:
+def _orbit_defect(dictionary) -> float | None:
+    """How far the atoms are from chirp orbits, or None when they are not.
+
+    Chirp orbits: the groups j*p + x, x = 0..p-1, form orbit j; they are
+    equally large and nonempty, and row r of group (j, x) is a unimodular
+    phase times chirp_x * (row r of group (j, 0)), where chirp_x[t] =
+    psi(-(x/2) t^2).  The defect is the largest residual norm of that
+    fit over all atoms; above _ORBIT_TOL the layout counts as no orbit.
+    """
+    p = dictionary.prime
+    V = dictionary.vectors
+    sizes = np.bincount(dictionary.group_ids, minlength=dictionary.n_groups)
+    if V.shape[1] != p or sizes.size % p or sizes.min() == 0 \
+            or np.any(sizes.reshape(-1, p) != sizes[::p, None]):
+        return None
+    try:
+        field = FpField(p)
+    except ValueError:  # a hand-made layout over no field F_p has no chirps
+        return None
+    t = np.arange(p)
+    unchirp = chirp_table(field)[:, t * t % p].conj()[:, None, :]
+    starts = np.concatenate([[0], np.cumsum(sizes[::p] * p)])
+    worst = 0.0
+    for lo, hi, m in zip(starts[:-1], starts[1:], sizes[::p]):
+        q = V[lo:hi].reshape(p, m, p) * unchirp
+        fit = np.einsum("rt,xrt->xr", q[0].conj(), q)
+        mag = np.abs(fit)
+        phase = np.divide(fit, mag, out=np.ones_like(fit), where=mag > 0)
+        residual = q - phase[:, :, None] * q[0]
+        worst = max(worst, float(np.linalg.norm(residual, axis=2).max()))
+        if not worst <= _ORBIT_TOL:
+            return None
+    return worst
+
+
+def _scan_orbits(dictionary, orbit_defect: float) -> tuple:
+    """The exhaustive scan of a chirp-orbit dictionary, one magnitude per
+    p pairs.
+
+    M_x is unitary and diagonal, and chirp_x' conj(chirp_x) = chirp_{x'-x},
+    so |<M_x s, M_x' s'>| depends only on x' - x: the seed rows of group
+    (a, 0) against group (b, d) stand for the p pairs of groups (a, x),
+    (b, x + d).  Each unordered pair is met once when the seed rows of
+    orbit a meet groups (a, 1..(p-1)/2) and every group of the later
+    orbits.  The seed rows are conjugated instead of V, since |S V*| =
+    |conj(S) V^T|.  Every group's defect is at most its seed group's
+    plus twice the orbit defect.
+    """
+    V = dictionary.vectors
+    p, n = dictionary.prime, len(V)
+    starts = np.searchsorted(dictionary.group_ids,
+                             np.arange(dictionary.n_groups + 1))
+    acc = _ScanAccumulator()
+    seed_defect = 0.0
+    for a in range(0, dictionary.n_groups, p):
+        lo, hi = int(starts[a]), int(starts[a + 1])
+        seeds = V[lo:hi]
+        seed_defect = max(seed_defect, verify_orthonormal(seeds))
+        seeds_conj = seeds.conj()
+        width = max(1, _BLOCK_CELLS // (hi - lo))
+        for first, last in ((hi, int(starts[a + (p + 1) // 2])),
+                            (int(starts[a + p]), n)):
+            for c0 in range(first, last, width):
+                c1 = min(c0 + width, last)
+                mags = np.abs(seeds_conj @ V[c0:c1].T)
+                acc.feed(mags.reshape(-1), weight=p,
+                         argmax_of=lambda k: (lo + k // (c1 - c0),
+                                              c0 + k % (c1 - c0)))
+    return acc, seed_defect + 2.0 * orbit_defect
+
+
+def _scan_dense(dictionary) -> tuple:
+    """The exhaustive scan of any dictionary: the upper half of its Gram,
+    one row block at a time."""
     V = dictionary.vectors
     gids = dictionary.group_ids
     n = len(V)
@@ -218,15 +319,7 @@ def _coherence_exhaustive(dictionary, cross_pairs: int) -> CoherenceReport:
             return start + r, start + int(ends[r]) + k - first
 
         acc.feed(mags[cross], argmax_of=position)
-    assert acc.count == cross_pairs
-    return CoherenceReport(
-        label="coherence", prime=dictionary.prime, kind=dictionary.kind,
-        bound=dictionary_bound(dictionary.kind, dictionary.prime),
-        max_coherence=acc.max, min_coherence=acc.min, argmax=acc.argmax,
-        mode="exhaustive", seed=None, pairs_evaluated=acc.count,
-        histogram_counts=acc.counts, histogram_edges=acc.edges,
-        within_group_defect=within,
-    )
+    return acc, within
 
 
 def _coherence_sampled(dictionary, samples: int, seed: int

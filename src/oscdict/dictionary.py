@@ -123,6 +123,13 @@ def _transported(kind: str, field: FpField, reference: np.ndarray,
                       *np.divmod(np.arange(len(out) * m), m))
 
 
+def chirp_table(field: FpField) -> np.ndarray:
+    """Entry (x, s) is psi(-(x/2) s), so the chirp M_x = rho(U(x))
+    multiplies entry t of a signal by row x at s = t^2."""
+    t = np.arange(field.p)
+    return phase_table(field.p)[np.outer(t, -field.half() * t) % field.p]
+
+
 def _chirp_orbits(kind: str, field: FpField, families) -> Dictionary:
     """Each (reference, seeds) family's orbit groups in turn, in one array.
 
@@ -137,7 +144,7 @@ def _chirp_orbits(kind: str, field: FpField, families) -> Dictionary:
     p = field.p
     t = np.arange(p)
     t2 = t * t % p
-    chirp = phase_table(p)[np.outer(t, -field.half() * t) % p]  # psi(-(x/2)s)
+    chirp = chirp_table(field)
     n = sum(len(seeds) * p * len(reference) for reference, seeds in families)
     vectors = np.empty((n, p), dtype=np.complex128)
     group_ids = np.empty(n, dtype=np.int64)

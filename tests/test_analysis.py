@@ -11,14 +11,18 @@ import json
 import numpy as np
 import pytest
 
+from oscdict import analysis
 from oscdict.analysis import (CoherenceReport, _ScanAccumulator,
-                              babel_profile, coherence, dictionary_bound,
-                              shifted_coherence, verify_orthonormal)
-from oscdict.dictionary import (Dictionary, heisenberg_dictionary,
+                              _orbit_defect, babel_profile, coherence,
+                              dictionary_bound, shifted_coherence,
+                              verify_orthonormal)
+from oscdict.dictionary import (Dictionary, extended_dictionary,
+                                heisenberg_dictionary, nonsplit_oscillator,
                                 oscillator_dictionary, split_oscillator)
 from oscdict.field import FpField
 from oscdict.heisenberg import HeisenbergElement, pi
 from oscdict.linalg import phase_table
+from oscdict.storage import load_dictionary, save_dictionary
 
 
 def test_dictionary_bound():
@@ -201,10 +205,22 @@ def _damaged_heisenberg(field):
     return Dictionary(d.kind, d.prime, V, d.group_ids, d.member_ids)
 
 
-@pytest.mark.parametrize("p", [5, 7, 11])
-@pytest.mark.parametrize("builder", [oscillator_dictionary,
-                                     heisenberg_dictionary,
-                                     _damaged_heisenberg])
+def _damaged_union(field):
+    """The oscillator union with one entry of one atom of group 1 moved by
+    1e-6, so its groups are no chirp orbit."""
+    d = oscillator_dictionary(field)
+    V = d.vectors.copy()
+    V[d.group_slice(1).start + 1, 0] += 1e-6
+    return Dictionary(d.kind, d.prime, V, d.group_ids, d.member_ids)
+
+
+_ORBIT_BUILDERS = (split_oscillator, nonsplit_oscillator,
+                   oscillator_dictionary)
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+@pytest.mark.parametrize("builder", [*_ORBIT_BUILDERS, heisenberg_dictionary,
+                                     _damaged_heisenberg, _damaged_union])
 def test_exhaustive_scan_matches_full_gram(builder, p):
     # brute force: the whole Gram at once, its i < j cross-group entries
     # in row-major order, and the histogram np.histogram gives for them
@@ -219,14 +235,51 @@ def test_exhaustive_scan_matches_full_gram(builder, p):
     dev = np.where(g[:, None] == g[None, :], mags, 0.0)
     dev[np.arange(n), np.arange(n)] = np.abs(np.diag(mags) - 1.0)
     r = coherence(d, mode="exhaustive")
+    assert r.pairs_evaluated == vals.size
+    assert r.within_group_defect == pytest.approx(dev.max(), abs=1e-14)
+    if builder in _ORBIT_BUILDERS:
+        # one computed magnitude stands for p that differ only by rounding
+        assert r.min_coherence == pytest.approx(vals.min(), abs=1e-15)
+        i, j = r.argmax
+        assert i < j and g[i] != g[j]
+        _assert_oracle_admits(r, mags[i, j], vals)
+        assert dev.max() <= r.within_group_defect
+        return
     assert r.max_coherence == vals.max()
     assert r.min_coherence == vals.min()
     assert r.argmax == (rows[first], cols[first])
-    assert r.pairs_evaluated == vals.size
     want = np.histogram(np.clip(vals, 0.0, 1.0),
                         bins=np.linspace(0.0, 1.0, 51))[0]
     assert np.array_equal(r.histogram_counts, want)
-    assert r.within_group_defect == pytest.approx(dev.max(), abs=1e-14)
+
+
+def test_orbit_structure_detection(tmp_path):
+    # the orbit scan runs exactly on the builders' chirp orbits, reloaded
+    # or not; every other layout takes the dense scan
+    f = FpField(5)
+    for builder in _ORBIT_BUILDERS:
+        defect = _orbit_defect(builder(f))
+        assert defect is not None and defect < 1e-14
+    save_dictionary(oscillator_dictionary(f), str(tmp_path / "union"))
+    assert _orbit_defect(load_dictionary(str(tmp_path / "union"))) \
+        == _orbit_defect(oscillator_dictionary(f))
+    no_field = Dictionary("oscillator", 9, np.eye(9), range(9), [0] * 9)
+    for d in (heisenberg_dictionary(f), _damaged_union(f),
+              extended_dictionary(oscillator_dictionary(f)), no_field):
+        assert _orbit_defect(d) is None
+    assert coherence(no_field, mode="exhaustive").max_coherence == 0.0
+
+
+def test_auto_mode_counts_computed_magnitudes(monkeypatch):
+    # with the limit between a p-th of the cross pairs and all of them,
+    # auto scans chirp orbits exhaustively and samples anything else
+    f = FpField(7)
+    cross = coherence(oscillator_dictionary(f)).pairs_evaluated
+    monkeypatch.setattr(analysis, "EXHAUSTIVE_PAIR_LIMIT", cross // 7)
+    assert coherence(oscillator_dictionary(f)).mode == "exhaustive"
+    assert coherence(_damaged_union(f), samples=100).mode == "sampled"
+    monkeypatch.setattr(analysis, "EXHAUSTIVE_PAIR_LIMIT", cross // 7 - 1)
+    assert coherence(oscillator_dictionary(f), samples=100).mode == "sampled"
 
 
 def test_histogram_counts_equal_np_histogram_at_edges():
@@ -243,6 +296,9 @@ def test_histogram_counts_equal_np_histogram_at_edges():
     assert np.array_equal(acc.counts, want)
     assert acc.counts[-1] >= 7  # 1.0 and the clipped values land last
     assert acc.counts.sum() == values.size
+    acc.feed(values, weight=3)
+    assert np.array_equal(acc.counts, 4 * want)
+    assert acc.count == 4 * values.size
 
 
 def _split_draws(d, samples, seed):
@@ -270,21 +326,21 @@ def _shift_draws(d, samples, seed):
                     (v % p).tolist()))
 
 
-def _assert_oracle_admits(report, keys, vals):
+def _assert_oracle_admits(report, at_argmax, vals):
     """The oracle fixes a scan's max, argmax and counts only up to values
     within 1e-15 of each other or of a bin edge, which rounding decides:
-    the argmax must be one of the tied maxima and each count must lie
-    between the values clear of the edges and those plus the edge values
-    either side."""
+    the argmax must be one of the tied maxima (at_argmax is the oracle's
+    value there) and each count must lie between the values clear of the
+    edges and those plus the edge values either side."""
     assert report.max_coherence == pytest.approx(vals.max(), abs=1e-15)
-    assert vals[keys.index(report.argmax)] == pytest.approx(vals.max(),
-                                                            abs=1e-15)
+    assert at_argmax == pytest.approx(vals.max(), abs=1e-15)
     edges = np.linspace(0.0, 1.0, 51)
-    at = np.abs(vals[:, None] - edges[None, :]) <= 1e-15
-    near = at[:, 1:-1].any(axis=1)
+    # edges lie 0.02 apart, so only the nearest can be within 1e-15
+    nearest = np.rint(np.clip(vals, 0.0, 1.0) * 50).astype(np.intp)
+    near = (np.abs(vals - edges[nearest]) <= 1e-15) \
+        & (nearest > 0) & (nearest < 50)
     clear = np.histogram(np.clip(vals[~near], 0, 1), edges)[0]
-    per_edge = at[near].sum(axis=0)
-    per_edge[[0, -1]] = 0
+    per_edge = np.bincount(nearest[near], minlength=51)
     counts = report.histogram_counts
     assert counts.sum() == len(vals)
     assert np.all(clear <= counts)
@@ -300,7 +356,7 @@ def test_sampled_scans_frozen_across_chunks():
     V = d.vectors
     vals = np.array([abs(np.vdot(V[j], V[i])) for i, j in keys])
     r = coherence(d, mode="sampled", samples=10_001, seed=2)
-    _assert_oracle_admits(r, keys, vals)
+    _assert_oracle_admits(r, vals[keys.index(r.argmax)], vals)
     assert r.max_coherence == pytest.approx(0.8753028244566725, abs=1e-15)
     assert r.argmax == (513, 45)
     assert r.pairs_evaluated == 10_001
@@ -318,7 +374,7 @@ def test_sampled_scans_frozen_across_chunks():
                                  V[i]))
                      for i, j, tau, w in keys])
     r = shifted_coherence(u, mode="sampled", samples=10_001, seed=2)
-    _assert_oracle_admits(r, keys, vals)
+    _assert_oracle_admits(r, vals[keys.index(r.argmax)], vals)
     assert r.max_coherence == pytest.approx(0.8356989742082698, abs=1e-15)
     assert r.argmax == (105, 184, 3, 4)
     assert r.pairs_evaluated == 10_001
