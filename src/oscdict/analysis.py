@@ -13,8 +13,9 @@ memory stays flat.  An exhaustive scan of chirp orbits (the oscillator
 families, whose group j*p + x is seed group j moved by the chirp
 M_x = rho(U(x))) computes one magnitude per p pairs, from the seed rows
 alone; any other exhaustive scan forms the upper half of the Gram
-matrix, one row block at a time.  A sampled scan gathers its pairs in
-chunks of _PAIR_CHUNK.
+matrix, one row block at a time.  The orbit check is
+``Dictionary.orbit_defect``, run once per dictionary and shared with
+OMP.  A sampled scan gathers its pairs in chunks of _PAIR_CHUNK.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .dictionary import chirp_table
 from .field import FpField
 from .heisenberg import translate_rows
 
@@ -32,8 +32,6 @@ DEFAULT_SAMPLES = 1_000_000
 HISTOGRAM_BINS = 50
 _BLOCK_ROWS = 256
 _BLOCK_CELLS = 1 << 20  # magnitudes per block of the orbit scan: 16 MB
-_ORBIT_TOL = 1e-12  # largest orbit defect the orbit scan accepts; its
-# magnitudes are then within twice that of the atoms' own
 _PAIR_CHUNK = 4096  # sampled pairs per gather: a few MB of rows at p ~ 60
 _CELLS = 4096  # histogram cells; a power of two, so value * _CELLS is exact
 
@@ -193,7 +191,7 @@ def coherence(dictionary, mode: str = "auto", samples: int = DEFAULT_SAMPLES,
     orbit_defect = None
     if mode == "exhaustive" or (mode == "auto" and
                                 cross_pairs // p <= EXHAUSTIVE_PAIR_LIMIT):
-        orbit_defect = _orbit_defect(dictionary)
+        orbit_defect = dictionary.orbit_defect
     computed = cross_pairs if orbit_defect is None else cross_pairs // p
     if mode == "sampled" or (mode == "auto"
                              and computed > EXHAUSTIVE_PAIR_LIMIT):
@@ -213,41 +211,6 @@ def coherence(dictionary, mode: str = "auto", samples: int = DEFAULT_SAMPLES,
     )
 
 
-def _orbit_defect(dictionary) -> float | None:
-    """How far the atoms are from chirp orbits, or None when they are not.
-
-    Chirp orbits: the groups j*p + x, x = 0..p-1, form orbit j; they are
-    equally large and nonempty, and row r of group (j, x) is a unimodular
-    phase times chirp_x * (row r of group (j, 0)), where chirp_x[t] =
-    psi(-(x/2) t^2).  The defect is the largest residual norm of that
-    fit over all atoms; above _ORBIT_TOL the layout counts as no orbit.
-    """
-    p = dictionary.prime
-    V = dictionary.vectors
-    sizes = np.bincount(dictionary.group_ids, minlength=dictionary.n_groups)
-    if V.shape[1] != p or sizes.size % p or sizes.min() == 0 \
-            or np.any(sizes.reshape(-1, p) != sizes[::p, None]):
-        return None
-    try:
-        field = FpField(p)
-    except ValueError:  # a hand-made layout over no field F_p has no chirps
-        return None
-    t = np.arange(p)
-    unchirp = chirp_table(field)[:, t * t % p].conj()[:, None, :]
-    starts = np.concatenate([[0], np.cumsum(sizes[::p] * p)])
-    worst = 0.0
-    for lo, hi, m in zip(starts[:-1], starts[1:], sizes[::p]):
-        q = V[lo:hi].reshape(p, m, p) * unchirp
-        fit = np.einsum("rt,xrt->xr", q[0].conj(), q)
-        mag = np.abs(fit)
-        phase = np.divide(fit, mag, out=np.ones_like(fit), where=mag > 0)
-        residual = q - phase[:, :, None] * q[0]
-        worst = max(worst, float(np.linalg.norm(residual, axis=2).max()))
-        if not worst <= _ORBIT_TOL:
-            return None
-    return worst
-
-
 def _scan_orbits(dictionary, orbit_defect: float) -> tuple:
     """The exhaustive scan of a chirp-orbit dictionary, one magnitude per
     p pairs.
@@ -263,8 +226,7 @@ def _scan_orbits(dictionary, orbit_defect: float) -> tuple:
     """
     V = dictionary.vectors
     p, n = dictionary.prime, len(V)
-    starts = np.searchsorted(dictionary.group_ids,
-                             np.arange(dictionary.n_groups + 1))
+    starts = dictionary._starts
     acc = _ScanAccumulator()
     seed_defect = 0.0
     for a in range(0, dictionary.n_groups, p):

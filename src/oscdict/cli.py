@@ -33,7 +33,8 @@ from .heisenberg import HeisenbergElement, h_mul, pi
 from .linalg import unitarity_defect
 from .sl2 import (bruhat, nonsplit_tori, sl2_elements, sl2_order,
                   split_representatives)
-from .sparse import RecoveryError, omp, recovery_experiment
+from .sparse import (RecoveryError, omp, orbit_correlations,
+                     recovery_experiment)
 from .storage import (CorruptDictionaryError, bundle_blob_size,
                       load_dictionary, load_signal, save_dictionary)
 from .weil import egorov_defect, rho
@@ -234,6 +235,15 @@ def _selftest_checks(field: FpField):
     dn = nonsplit_oscillator(field)
     yield "non-split oscillator cardinality", \
         len(dn) == p * p * (p - 1) // 2, f"{len(dn)}"
+
+    r = rng.normal(size=p) + 1j * rng.normal(size=p)
+    worst = 0.0
+    for d in (ds, dn):
+        corr = orbit_correlations(d, r)
+        worst = max(worst, np.inf if corr is None else float(
+            np.max(np.abs(corr - np.abs(d.vectors @ r.conj())))))
+    yield "orbit correlations match |V r*|", \
+        worst <= 1e-12 * np.linalg.norm(r), f"max diff {worst:.1e}"
 
     f = ds.vectors[7] * np.exp(0.3j)
     sr = omp(ds, f, max_support=1)

@@ -36,6 +36,8 @@ bit-reproducible.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from .field import FpField
@@ -47,6 +49,7 @@ from .sl2 import (SL2Element, nonsplit_tori, split_representatives,
 from .weil import rho
 
 OSCILLATOR_KINDS = ("oscillator_split", "oscillator_nonsplit", "oscillator")
+_ORBIT_TOL = 1e-12  # largest orbit defect that counts as chirp orbits
 
 
 class Dictionary:
@@ -54,6 +57,8 @@ class Dictionary:
 
     vectors is (n_atoms, p) atom-major; group_ids must be nondecreasing
     (builders emit group-major blocks), so a group is a contiguous slice.
+    The arrays are not modified after construction, so the layout derived
+    from them (group offsets, the chirp-orbit check) is computed once.
     """
 
     def __init__(self, kind, prime, vectors, group_ids, member_ids,
@@ -87,6 +92,35 @@ class Dictionary:
 
     def group_matrix(self, g: int) -> np.ndarray:
         return self.vectors[self.group_slice(g)]
+
+    @cached_property
+    def orbit_defect(self) -> float | None:
+        """How far the atoms are from chirp orbits, or None when they are
+        not; see ``_orbit_defect``.  The exhaustive scan and OMP read it."""
+        return _orbit_defect(self)
+
+    @cached_property
+    def orbit_seeds(self) -> tuple | None:
+        """The seed rows of chirp orbits, or None when the atoms are not.
+
+        Returns (runs, norm): one (lo, hi, seeds) per run of consecutive
+        orbits with equally large groups, where atoms lo:hi are the run
+        and seeds is its (orbits, m, p) view of the rows of each orbit's
+        group (j, 0); and the largest seed row norm.
+        """
+        if self.orbit_defect is None:
+            return None
+        p = self.prime
+        starts = self._starts[::p]
+        sizes = np.diff(starts) // p
+        cuts = [0, *(np.flatnonzero(np.diff(sizes)) + 1), len(sizes)]
+        runs = [(int(starts[a]), int(starts[b]),
+                 self.vectors[starts[a]:starts[b]]
+                 .reshape(b - a, p, sizes[a], p)[:, 0])
+                for a, b in zip(cuts[:-1], cuts[1:])]
+        norm = max(float(np.linalg.norm(seeds, axis=2).max())
+                   for _, _, seeds in runs)
+        return runs, norm
 
     def __repr__(self):
         return (f"Dictionary(kind={self.kind!r}, p={self.prime}, "
@@ -128,6 +162,44 @@ def chirp_table(field: FpField) -> np.ndarray:
     multiplies entry t of a signal by row x at s = t^2."""
     t = np.arange(field.p)
     return phase_table(field.p)[np.outer(t, -field.half() * t) % field.p]
+
+
+def _orbit_defect(dictionary) -> float | None:
+    """How far the atoms are from chirp orbits, or None when they are not.
+
+    Chirp orbits: the groups j*p + x, x = 0..p-1, form orbit j; they are
+    equally large and nonempty, and row r of group (j, x) is a unimodular
+    phase times chirp_x * (row r of group (j, 0)), where chirp_x[t] =
+    psi(-(x/2) t^2).  The defect is the largest residual norm of that
+    fit over all atoms; above _ORBIT_TOL the layout counts as no orbit.
+    The group sizes are checked first, so p + 1 Heisenberg lines are
+    refused without reading an atom.
+    """
+    p = dictionary.prime
+    V = dictionary.vectors
+    sizes = np.diff(dictionary._starts)
+    if V.shape[1] != p or dictionary._starts[0] or not sizes.size \
+            or sizes.size % p or sizes.min() == 0 \
+            or np.any(sizes.reshape(-1, p) != sizes[::p, None]):
+        return None
+    try:
+        field = FpField(p)
+    except ValueError:  # a hand-made layout over no field F_p has no chirps
+        return None
+    t = np.arange(p)
+    unchirp = chirp_table(field)[:, t * t % p].conj()[:, None, :]
+    starts = dictionary._starts[::p]
+    worst = 0.0
+    for lo, hi, m in zip(starts[:-1], starts[1:], sizes[::p]):
+        q = V[lo:hi].reshape(p, m, p) * unchirp
+        fit = np.einsum("rt,xrt->xr", q[0].conj(), q)
+        mag = np.abs(fit)
+        phase = np.divide(fit, mag, out=np.ones_like(fit), where=mag > 0)
+        residual = q - phase[:, :, None] * q[0]
+        worst = max(worst, float(np.linalg.norm(residual, axis=2).max()))
+        if not worst <= _ORBIT_TOL:
+            return None
+    return worst
 
 
 def _chirp_orbits(kind: str, field: FpField, families) -> Dictionary:

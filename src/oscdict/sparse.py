@@ -6,13 +6,27 @@ least squares, repeat.  For a dictionary with coherence mu this recovers
 any support of size k < (1 + 1/mu)/2 exactly, which is the regime the
 experiment harness operates in.  A one-pass thresholding variant is
 included as a cheap baseline.
+
+The correlation step |<atom, r>| = |V r*| reads the whole dictionary.
+When the atoms are chirp orbits (``Dictionary.orbit_defect``), atom
+(j, x, i) is a unimodular phase times chirp_x * (seed row i of orbit j),
+with chirp_x[t] = psi(-(x/2) t^2), so the correlations come from the n/p
+seed rows alone: fold t with -t, since chirp_x[t] depends on t^2 only,
+and one product with the (p+1)/2 x p table chirp_x[u^2] gives every x.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
+
+from .dictionary import chirp_table
+from .field import FpField
+
+
+_EPS = float(np.finfo(np.float64).eps)
 
 
 class RecoveryError(Exception):
@@ -53,13 +67,81 @@ def _least_squares(atoms: np.ndarray, f: np.ndarray) -> np.ndarray:
     return sol
 
 
+@lru_cache(maxsize=None)
+def _fold_table(p: int) -> np.ndarray:
+    """F[u, x] = chirp_x[u^2] for u = 0..(p-1)/2."""
+    u = np.arange((p + 1) // 2)
+    return np.ascontiguousarray(chirp_table(FpField(p))[:, u * u % p].T)
+
+
+def orbit_correlations(dictionary, r: np.ndarray) -> np.ndarray | None:
+    """|<atom, r>| for every atom from the seed rows alone (|V r*| up to
+    rounding), or None when the atoms are not chirp orbits.
+
+    With W = seeds * conj(r), atom (j, x, i) correlates to
+    sum_t W[j, i, t] chirp_x[t] up to a unimodular phase; folding W[-t]
+    onto W[t] leaves (p+1)/2 terms, and one product with the fold table
+    gives that sum for every x.
+    """
+    if dictionary.orbit_seeds is None:
+        return None
+    runs, _ = dictionary.orbit_seeds
+    fold = _fold_table(dictionary.prime)
+    h = len(fold)
+    corr = np.empty(len(dictionary))
+    rc = np.conj(r)
+    for lo, hi, seeds in runs:
+        k, m, p = seeds.shape
+        w = seeds * rc
+        w[..., 1:h] += w[..., :h - 1:-1]
+        sums = w[..., :h].reshape(-1, h) @ fold
+        np.abs(sums.reshape(k, m, p).transpose(0, 2, 1),
+               out=corr[lo:hi].reshape(k, p, m))
+    return corr
+
+
+def _best_atom(dictionary, residual, support, floor):
+    """The atom the dense step |V r*| picks (the lowest index among the
+    largest correlations off the support), or None where that largest
+    correlation is at most floor.
+
+    An orbit correlation is within window of its dense value: the orbit
+    defect, plus the rounding of two length-p inner products with rows
+    of norm at most norm + defect, each under 2 (p + 8) eps times their
+    norms (Higham's complex dot-product bound, with room for the rounded
+    table entries and the fold), all times ||r||.  So the dense pick
+    lies within twice the window of the orbit maximum, and a lone atom
+    there, clear of floor, is the dense pick.  Otherwise (a near tie, or
+    a maximum not clear of floor) the dense step itself runs, so the
+    pick is the dense one bit for bit.
+    """
+    corr = orbit_correlations(dictionary, residual)
+    if corr is not None:
+        corr[support] = 0.0
+        best = int(np.argmax(corr))
+        top = corr[best]
+        defect = dictionary.orbit_defect
+        _, norm = dictionary.orbit_seeds
+        window = (defect + 4 * (dictionary.prime + 8) * _EPS
+                  * (norm + defect)) * np.linalg.norm(residual)
+        if top - window > floor \
+                and np.count_nonzero(corr >= top - 2 * window) == 1:
+            return best
+    # |<atom, r>| = |V r*|: no conjugated copy of the dictionary
+    corr = np.abs(dictionary.vectors @ residual.conj())
+    corr[support] = 0.0
+    best = int(np.argmax(corr))
+    return None if corr[best] <= floor else best
+
+
 def omp(dictionary, f: np.ndarray, max_support: int,
         residual_tol: float = None) -> SparseRepresentation:
     """Orthogonal matching pursuit.
 
     Stops when the residual norm drops to residual_tol (default
     1e-9 * ||f||) or the support reaches max_support.  Greedy ties break
-    toward the lowest atom index.
+    toward the lowest atom index.  Chirp-orbit dictionaries take their
+    correlations from the seed rows, with the same picks as |V r*|.
     """
     if max_support < 1:
         raise ValueError("max_support must be at least 1")
@@ -69,15 +151,13 @@ def omp(dictionary, f: np.ndarray, max_support: int,
     V = dictionary.vectors
     norm_f = float(np.linalg.norm(f))
     tol = 1e-9 * norm_f if residual_tol is None else residual_tol
+    floor = 1e-14 * max(norm_f, 1.0)
     support = []
     coeffs = np.zeros(0, dtype=np.complex128)
     residual = f.copy()
     while len(support) < max_support and np.linalg.norm(residual) > tol:
-        # |<atom, r>| = |V r*|: no conjugated copy of the dictionary
-        corr = np.abs(V @ residual.conj())
-        corr[support] = 0.0
-        best = int(np.argmax(corr))
-        if corr[best] <= 1e-14 * max(norm_f, 1.0):
+        best = _best_atom(dictionary, residual, support, floor)
+        if best is None:
             break
         support.append(best)
         coeffs = _least_squares(V[support], f)

@@ -13,9 +13,8 @@ import pytest
 
 from oscdict import analysis
 from oscdict.analysis import (CoherenceReport, _ScanAccumulator,
-                              _orbit_defect, babel_profile, coherence,
-                              dictionary_bound, shifted_coherence,
-                              verify_orthonormal)
+                              babel_profile, coherence, dictionary_bound,
+                              shifted_coherence, verify_orthonormal)
 from oscdict.dictionary import (Dictionary, extended_dictionary,
                                 heisenberg_dictionary, nonsplit_oscillator,
                                 oscillator_dictionary, split_oscillator)
@@ -258,15 +257,15 @@ def test_orbit_structure_detection(tmp_path):
     # or not; every other layout takes the dense scan
     f = FpField(5)
     for builder in _ORBIT_BUILDERS:
-        defect = _orbit_defect(builder(f))
+        defect = builder(f).orbit_defect
         assert defect is not None and defect < 1e-14
     save_dictionary(oscillator_dictionary(f), str(tmp_path / "union"))
-    assert _orbit_defect(load_dictionary(str(tmp_path / "union"))) \
-        == _orbit_defect(oscillator_dictionary(f))
+    assert load_dictionary(str(tmp_path / "union")).orbit_defect \
+        == oscillator_dictionary(f).orbit_defect
     no_field = Dictionary("oscillator", 9, np.eye(9), range(9), [0] * 9)
     for d in (heisenberg_dictionary(f), _damaged_union(f),
               extended_dictionary(oscillator_dictionary(f)), no_field):
-        assert _orbit_defect(d) is None
+        assert d.orbit_defect is None
     assert coherence(no_field, mode="exhaustive").max_coherence == 0.0
 
 

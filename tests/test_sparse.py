@@ -3,17 +3,28 @@
 OMP is exercised inside its exact-recovery regime k < (1 + 1/mu)/2
 (for the p+1-line dictionary mu = 1/sqrt(p), so k can grow with p) and
 at the boundaries: empty signals, single atoms, duplicated atoms that
-must trip the ill-conditioned guard.
+must trip the ill-conditioned guard.  On chirp-orbit dictionaries OMP
+takes its correlations from the seed rows; a copy of the dense loop is
+the oracle it must match bit for bit, near ties included.
 """
+
+import json
+from functools import cache
 
 import numpy as np
 import pytest
 
-from oscdict.dictionary import Dictionary, heisenberg_dictionary
+from oscdict import dictionary as dictionary_module
+from oscdict.analysis import coherence
+from oscdict.dictionary import (Dictionary, extended_dictionary,
+                                heisenberg_dictionary, nonsplit_oscillator,
+                                oscillator_dictionary, split_oscillator)
 from oscdict.field import FpField
 from oscdict.sparse import (RecoveryError, RecoveryReport,
-                            SparseRepresentation, omp, recovery_experiment,
+                            SparseRepresentation, _least_squares, omp,
+                            orbit_correlations, recovery_experiment,
                             synthesize, thresholding)
+from oscdict.storage import load_dictionary, save_dictionary
 
 
 def test_synthesize():
@@ -178,3 +189,144 @@ def test_sparse_representation_fields():
     rep = SparseRepresentation([1, 2], np.array([1.0, 2.0j]), 0.0)
     assert rep.support == [1, 2]
     assert rep.residual_norm == 0.0
+
+
+def _dense_omp(dictionary, f, max_support):
+    """The dense OMP loop: |V r*| over every atom at every step."""
+    f = np.asarray(f, dtype=np.complex128)
+    V = dictionary.vectors
+    norm_f = float(np.linalg.norm(f))
+    tol = 1e-9 * norm_f
+    support = []
+    coeffs = np.zeros(0, dtype=np.complex128)
+    residual = f.copy()
+    while len(support) < max_support and np.linalg.norm(residual) > tol:
+        corr = np.abs(V @ residual.conj())
+        corr[support] = 0.0
+        best = int(np.argmax(corr))
+        if corr[best] <= 1e-14 * max(norm_f, 1.0):
+            break
+        support.append(best)
+        coeffs = _least_squares(V[support], f)
+        residual = f - coeffs @ V[support]
+    return SparseRepresentation(support, coeffs,
+                                float(np.linalg.norm(residual)))
+
+
+def _assert_same(got, want):
+    assert got.support == want.support
+    assert got.coefficients.tobytes() == want.coefficients.tobytes()
+    assert got.residual_norm == want.residual_norm
+
+
+_ORBIT_BUILDERS = (split_oscillator, nonsplit_oscillator,
+                   oscillator_dictionary)
+
+
+@cache
+def _built(builder, p):
+    return builder(FpField(p))
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+@pytest.mark.parametrize("builder", _ORBIT_BUILDERS)
+@pytest.mark.parametrize("reload", [False, True])
+def test_orbit_omp_matches_dense_oracle(builder, p, reload, tmp_path):
+    d = _built(builder, p)
+    if reload:
+        save_dictionary(d, str(tmp_path / "d"))
+        d = load_dictionary(str(tmp_path / "d"))
+    assert d.orbit_defect is not None
+    rng = np.random.default_rng([p, len(d)])
+    for k in (1, 2, 3):
+        for _ in range(4):
+            support = rng.choice(len(d), size=k, replace=False)
+            f = synthesize(d, support, np.exp(2j * np.pi * rng.random(k)))
+            _assert_same(omp(d, f, max_support=k), _dense_omp(d, f, k))
+        # a signal no k atoms span: every step has a residual to match
+        f = rng.normal(size=p) + 1j * rng.normal(size=p)
+        _assert_same(omp(d, f, max_support=k), _dense_omp(d, f, k))
+        want = recovery_experiment(d, k, 12, seed=p, algorithm=_dense_omp)
+        got = recovery_experiment(d, k, 12, seed=p)
+        assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
+
+
+@pytest.mark.parametrize("builder", _ORBIT_BUILDERS)
+def test_orbit_correlations_match_dense(builder):
+    d = _built(builder, 13)
+    rng = np.random.default_rng(4)
+    r = rng.normal(size=13) + 1j * rng.normal(size=13)
+    corr = orbit_correlations(d, r)
+    assert np.max(np.abs(corr - np.abs(d.vectors @ r.conj()))) \
+        <= 1e-14 * np.linalg.norm(r)
+
+
+@pytest.mark.parametrize("builder", _ORBIT_BUILDERS)
+def test_orbit_omp_near_ties_pick_the_dense_atom(builder):
+    # f = a_i + a_j correlates equally with a_i and a_j, so where they
+    # lead, rounding alone decides; the pick must be the one |V r*| makes
+    d = _built(builder, 11)
+    g = d.group_ids
+    rng = np.random.default_rng(8)
+    ties = 0
+    for _ in range(60):
+        i, j = sorted(rng.choice(len(d), size=2, replace=False).tolist())
+        if g[i] == g[j]:
+            continue
+        f = d.vectors[i] + d.vectors[j]
+        want = _dense_omp(d, f, 2)
+        ties += want.support[0] in (i, j)
+        _assert_same(omp(d, f, max_support=2), want)
+    assert ties >= 10
+
+
+def test_orbit_omp_floor_matches_dense():
+    # one atom scaled to about the stopping floor 1e-14: whether OMP stops
+    # is decided at the last bit, exactly as in the dense loop
+    d = _built(split_oscillator, 11)
+    for c in (0.5e-14, np.nextafter(1e-14, 0), 1e-14,
+              np.nextafter(1e-14, 1), 2e-14):
+        for i in (0, 17, len(d) - 1):
+            f = c * d.vectors[i]
+            _assert_same(omp(d, f, max_support=2), _dense_omp(d, f, 2))
+
+
+def _damaged_union(field):
+    """The oscillator union with one entry of one atom of group 1 moved by
+    1e-6, so its groups are no chirp orbit."""
+    d = oscillator_dictionary(field)
+    V = d.vectors.copy()
+    V[d.group_slice(1).start + 1, 0] += 1e-6
+    return Dictionary(d.kind, d.prime, V, d.group_ids, d.member_ids)
+
+
+def test_non_orbit_layouts_take_the_dense_path():
+    f = FpField(5)
+    no_field = Dictionary("oscillator", 9, np.eye(9), range(9), [0] * 9)
+    rng = np.random.default_rng(3)
+    for d in (_damaged_union(f), heisenberg_dictionary(f),
+              extended_dictionary(oscillator_dictionary(f)), no_field):
+        assert d.orbit_defect is None and d.orbit_seeds is None
+        signal = rng.normal(size=d.prime) + 1j * rng.normal(size=d.prime)
+        assert orbit_correlations(d, signal) is None
+        for k in (1, 3):
+            _assert_same(omp(d, signal, max_support=k),
+                         _dense_omp(d, signal, k))
+
+
+def test_orbit_check_runs_once_per_dictionary(monkeypatch):
+    runs = []
+    check = dictionary_module._orbit_defect
+
+    def counted(d):
+        runs.append(d)
+        return check(d)
+
+    monkeypatch.setattr(dictionary_module, "_orbit_defect", counted)
+    d = oscillator_dictionary(FpField(7))
+    coherence(d, mode="exhaustive")
+    rng = np.random.default_rng(0)
+    for _ in range(10):
+        omp(d, rng.normal(size=7) + 1j * rng.normal(size=7), max_support=3)
+    recovery_experiment(d, 2, 10)
+    assert runs == [d]

@@ -455,7 +455,7 @@ def test_selftest_passes(capsys):
     assert main(["selftest", "--prime", "5"]) == 0
     out = capsys.readouterr().out
     lines = [ln for ln in out.splitlines() if ln.startswith(("PASS", "FAIL"))]
-    assert len(lines) == 14
+    assert len(lines) == 15
     assert all(ln.startswith("PASS") for ln in lines)
     assert "all checks passed" in out
 
