@@ -1,6 +1,5 @@
 """Gram-matrix analytics for dictionaries: coherence, orthonormality
-audits, Babel sums, and stability of oscillator atoms under Heisenberg
-translations.
+audits, and stability of oscillator atoms under Heisenberg translations.
 
 Coherence here is always the cross-group number: atoms inside one
 line/torus group are orthonormal by construction, and the interesting
@@ -226,23 +225,23 @@ def _scan_orbits(dictionary, orbit_defect: float) -> tuple:
     """
     V = dictionary.vectors
     p, n = dictionary.prime, len(V)
-    starts = dictionary._starts
+    runs, _ = dictionary.orbit_seeds
     acc = _ScanAccumulator()
     seed_defect = 0.0
-    for a in range(0, dictionary.n_groups, p):
-        lo, hi = int(starts[a]), int(starts[a + 1])
-        seeds = V[lo:hi]
-        seed_defect = max(seed_defect, verify_orthonormal(seeds))
-        seeds_conj = seeds.conj()
-        width = max(1, _BLOCK_CELLS // (hi - lo))
-        for first, last in ((hi, int(starts[a + (p + 1) // 2])),
-                            (int(starts[a + p]), n)):
-            for c0 in range(first, last, width):
-                c1 = min(c0 + width, last)
-                mags = np.abs(seeds_conj @ V[c0:c1].T)
-                acc.feed(mags.reshape(-1), weight=p,
-                         argmax_of=lambda k: (lo + k // (c1 - c0),
-                                              c0 + k % (c1 - c0)))
+    for run_lo, _, seeds in runs:
+        m = seeds.shape[1]
+        width = max(1, _BLOCK_CELLS // m)
+        for lo, rows in zip(range(run_lo, n, p * m), seeds):
+            seed_defect = max(seed_defect, verify_orthonormal(rows))
+            rows_conj = rows.conj()
+            for first, last in ((lo + m, lo + (p + 1) // 2 * m),
+                                (lo + p * m, n)):
+                for c0 in range(first, last, width):
+                    c1 = min(c0 + width, last)
+                    mags = np.abs(rows_conj @ V[c0:c1].T)
+                    acc.feed(mags.reshape(-1), weight=p,
+                             argmax_of=lambda k: (lo + k // (c1 - c0),
+                                                  c0 + k % (c1 - c0)))
     return acc, seed_defect + 2.0 * orbit_defect
 
 
@@ -327,23 +326,6 @@ def verify_orthonormal(group: np.ndarray) -> float:
     group = np.atleast_2d(np.asarray(group))
     gram = group @ group.conj().T
     return float(np.max(np.abs(gram - np.eye(len(group)))))
-
-
-def babel_profile(dictionary, k: int) -> float:
-    """Babel function B(k): max over atoms of the sum of its k largest
-    inner-product magnitudes against the other atoms."""
-    n = len(dictionary)
-    if not 1 <= k < n:
-        raise ValueError(f"babel order k={k} out of range [1, {n})")
-    V = dictionary.vectors
-    worst = 0.0
-    for start in range(0, n, _BLOCK_ROWS):
-        stop = min(start + _BLOCK_ROWS, n)
-        mags = np.abs(V[start:stop] @ V.conj().T)
-        mags[np.arange(stop - start), np.arange(start, stop)] = 0.0
-        top = np.partition(mags, n - k, axis=1)[:, n - k:]
-        worst = max(worst, float(top.sum(axis=1).max()))
-    return worst
 
 
 def shifted_coherence(dictionary, mode: str = "auto",

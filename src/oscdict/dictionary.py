@@ -42,11 +42,10 @@ import numpy as np
 
 from .field import FpField
 from .heisenberg import translate_rows
-from .linalg import (eig_unitary, phase_normalize_rows, phase_pivots,
-                     phase_table)
+from .linalg import eig_unitary, phase_normalize_rows, phase_pivots
 from .sl2 import (SL2Element, nonsplit_tori, split_representatives,
                   weyl_element)
-from .weil import rho
+from .weil import chirp_table, rho
 
 OSCILLATOR_KINDS = ("oscillator_split", "oscillator_nonsplit", "oscillator")
 _ORBIT_TOL = 1e-12  # largest orbit defect that counts as chirp orbits
@@ -155,13 +154,6 @@ def _transported(kind: str, field: FpField, reference: np.ndarray,
         block[...] = phase_normalize_rows(reference @ rho(g).T)
     return Dictionary(kind, p, out.reshape(-1, p),
                       *np.divmod(np.arange(len(out) * m), m))
-
-
-def chirp_table(field: FpField) -> np.ndarray:
-    """Entry (x, s) is psi(-(x/2) s), so the chirp M_x = rho(U(x))
-    multiplies entry t of a signal by row x at s = t^2."""
-    t = np.arange(field.p)
-    return phase_table(field.p)[np.outer(t, -field.half() * t) % field.p]
 
 
 def _orbit_defect(dictionary) -> float | None:

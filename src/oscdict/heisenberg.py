@@ -59,10 +59,6 @@ def h_mul(h1: HeisenbergElement, h2: HeisenbergElement) -> HeisenbergElement:
     return HeisenbergElement(h1.tau + h2.tau, h1.w + h2.w, z, f)
 
 
-def h_inv(h: HeisenbergElement) -> HeisenbergElement:
-    return HeisenbergElement(-h.tau, -h.w, -h.z, h.field)
-
-
 def pi(h: HeisenbergElement) -> np.ndarray:
     """The p x p unitary of the standard realization.
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 UNITARY_TOL = 1e-10
 UNIT_NORM_TOL = 1e-12
@@ -114,6 +113,9 @@ def eig_unitary(A: np.ndarray, tol: float = CLUSTER_TOL) -> EigenDecomposition:
     if not is_unitary(A):
         raise ValueError("eig_unitary requires a unitary matrix "
                          f"(defect {unitarity_defect(A):.2e})")
+    # scipy.linalg takes ~0.3 s to import and only the non-split build
+    # eigensolves, so it loads on first use rather than with the package
+    import scipy.linalg
     T, Z = scipy.linalg.schur(A, output="complex")
     lams = np.diag(T)
 

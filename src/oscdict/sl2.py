@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .field import FpField, prime_factors
+from .field import FpField
 from .heisenberg import HeisenbergElement
 
 
@@ -89,20 +89,6 @@ def sl2_inv(g: SL2Element) -> SL2Element:
     return SL2Element(g.d, -g.b, -g.c, g.a, g.field)
 
 
-def sl2_pow(g: SL2Element, n: int) -> SL2Element:
-    result = sl2_identity(g.field)
-    base = g
-    n = int(n)
-    if n < 0:
-        base, n = sl2_inv(g), -n
-    while n:
-        if n & 1:
-            result = sl2_mul(result, base)
-        base = sl2_mul(base, base)
-        n >>= 1
-    return result
-
-
 def sl2_order(g: SL2Element) -> int:
     """Order of g in SL_2(F_p); at most 2p."""
     ident = sl2_identity(g.field)
@@ -112,13 +98,6 @@ def sl2_order(g: SL2Element) -> int:
             return k
         x = sl2_mul(x, g)
     raise RuntimeError("order search exceeded group exponent bound")
-
-
-def _has_order(g: SL2Element, n: int) -> bool:
-    ident = sl2_identity(g.field)
-    if sl2_pow(g, n) != ident:
-        return False
-    return all(sl2_pow(g, n // q) != ident for q in prime_factors(n))
 
 
 def sp_action(g: SL2Element, h: HeisenbergElement) -> HeisenbergElement:
@@ -202,26 +181,6 @@ class TorusDescriptor:
     generator: SL2Element
 
 
-def torus_key(m: SL2Element) -> tuple:
-    """Canonical key of the maximal torus containing a regular element m.
-
-    The torus is determined by span{I, m}, hence by the projective
-    direction of the traceless part m - (tr m / 2) I; the key is that
-    direction scaled so its first nonzero coordinate is 1.
-    """
-    f = m.field
-    p = f.p
-    e = ((m.a - m.d) * f.half()) % p
-    vec = (e, m.b % p, m.c % p)
-    if vec == (0, 0, 0):
-        raise ValueError(f"central element {m} lies in every torus")
-    for v in vec:
-        if v != 0:
-            s = f.inv(v)
-            return tuple((x * s) % p for x in vec)
-    raise AssertionError
-
-
 def split_representatives(field: FpField) -> list:
     """The set R: entry b*p + c is [[1, b], [c, 1+bc]] = U(c) [[1, b], [0, 1]].
 
@@ -256,7 +215,7 @@ def nonsplit_tori(field: FpField) -> list:
     t0 = next(g for g in (SL2Element(x, y, c0 * y, x, field)
                           for x in range(p) for y in range(p)
                           if (x * x - c0 * y * y) % p == 1)
-              if _has_order(g, p + 1))
+              if sl2_order(g) == p + 1)
     tori = []
     for c in nonsquares:
         lam = root[c0 * field.inv(c) % p]

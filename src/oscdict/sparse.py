@@ -4,8 +4,7 @@ Orthogonal matching pursuit is the workhorse: greedily pick the atom
 most correlated with the residual, re-fit all picked coefficients by
 least squares, repeat.  For a dictionary with coherence mu this recovers
 any support of size k < (1 + 1/mu)/2 exactly, which is the regime the
-experiment harness operates in.  A one-pass thresholding variant is
-included as a cheap baseline.
+experiment harness operates in.
 
 The correlation step |<atom, r>| = |V r*| reads the whole dictionary.
 When the atoms are chirp orbits (``Dictionary.orbit_defect``), atom
@@ -22,8 +21,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dictionary import chirp_table
 from .field import FpField
+from .weil import chirp_table
 
 
 _EPS = float(np.finfo(np.float64).eps)
@@ -162,22 +161,6 @@ def omp(dictionary, f: np.ndarray, max_support: int,
         support.append(best)
         coeffs = _least_squares(V[support], f)
         residual = f - coeffs @ V[support]
-    return SparseRepresentation(support, coeffs,
-                                float(np.linalg.norm(residual)))
-
-
-def thresholding(dictionary, f: np.ndarray, max_support: int
-                 ) -> SparseRepresentation:
-    """One-pass baseline: keep the max_support atoms most correlated
-    with f itself, then least-squares fit once."""
-    if max_support < 1:
-        raise ValueError("max_support must be at least 1")
-    f = np.asarray(f, dtype=np.complex128)
-    V = dictionary.vectors
-    corr = np.abs(V @ f.conj())
-    support = sorted(np.argsort(-corr, kind="stable")[:max_support].tolist())
-    coeffs = _least_squares(V[support], f)
-    residual = f - coeffs @ V[support]
     return SparseRepresentation(support, coeffs,
                                 float(np.linalg.norm(residual)))
 

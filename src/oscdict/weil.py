@@ -4,7 +4,8 @@ Three building blocks generate everything:
 
 * ``S_a`` — signed scaling, (S_a f)(t) = sigma(a) f(t / a) with sigma the
   Legendre character;
-* ``M_u`` — chirp, multiplication by psi(-(u/2) t^2);
+* ``M_u`` — chirp, multiplication by psi(-(u/2) t^2), read from row u of
+  ``chirp_table`` at t^2, the one chirp table the builders and OMP share;
 * ``F``   — the unitary DFT with kernel psi(w t) / sqrt(p).
 
 An arbitrary g is synthesized through its Bruhat factorization,
@@ -27,12 +28,17 @@ from .linalg import phase_table
 from .sl2 import SL2Element, bruhat, sp_action
 
 
-def _chirp_phases(field: FpField, u: int) -> np.ndarray:
-    """Diagonal of M_u: psi(-(u/2) t^2) for t = 0..p-1."""
-    p = field.p
-    t = np.arange(p)
-    coeff = (-(u % p) * field.half()) % p
-    return phase_table(p)[(coeff * ((t * t) % p)) % p]
+@functools.lru_cache(maxsize=8)
+def chirp_table(field: FpField) -> np.ndarray:
+    """Entry (x, s) is psi(-(x/2) s), so the chirp M_x = rho(U(x))
+    multiplies entry t of a signal by row x at s = t^2.
+
+    Built once per field and shared by every caller, so it is read-only.
+    """
+    t = np.arange(field.p)
+    table = phase_table(field.p)[np.outer(t, -field.half() * t) % field.p]
+    table.setflags(write=False)
+    return table
 
 
 @functools.lru_cache(maxsize=8)
@@ -57,6 +63,7 @@ def rho(g: SL2Element) -> np.ndarray:
     field = g.field
     p = field.p
     fac = bruhat(g)
+    t2 = np.arange(p) ** 2 % p
     sign = field.legendre(fac.a)
     rows = (fac.a * np.arange(p)) % p
     if fac.cell == "small":
@@ -64,8 +71,8 @@ def rho(g: SL2Element) -> np.ndarray:
         m[rows, np.arange(p)] = sign
     else:
         m = np.empty((p, p), dtype=np.complex128)
-        m[rows] = sign * (fourier_op(field) * _chirp_phases(field, fac.u1)[None, :])
-    m *= _chirp_phases(field, fac.u2)[:, None]
+        m[rows] = sign * (fourier_op(field) * chirp_table(field)[fac.u1, t2])
+    m *= chirp_table(field)[fac.u2, t2][:, None]
     return m
 
 

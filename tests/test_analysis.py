@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 
 from oscdict import analysis
-from oscdict.analysis import (CoherenceReport, _ScanAccumulator,
-                              babel_profile, coherence, dictionary_bound,
-                              shifted_coherence, verify_orthonormal)
+from oscdict.analysis import (CoherenceReport, _ScanAccumulator, coherence,
+                              dictionary_bound, shifted_coherence,
+                              verify_orthonormal)
 from oscdict.dictionary import (Dictionary, extended_dictionary,
                                 heisenberg_dictionary, nonsplit_oscillator,
                                 oscillator_dictionary, split_oscillator)
@@ -123,29 +123,6 @@ def test_verify_orthonormal():
     assert verify_orthonormal(dup) == pytest.approx(1.0, abs=1e-10)
     assert verify_orthonormal(2 * np.eye(2, dtype=complex)) \
         == pytest.approx(3.0)
-
-
-def test_babel_profile():
-    p = 5
-    d = heisenberg_dictionary(FpField(p))
-    mu = 1 / np.sqrt(p)
-    # all off-group magnitudes are mu and in-group ones are 0, so the
-    # babel sum is exactly k*mu out to the cross-group neighbor count
-    assert babel_profile(d, 1) == pytest.approx(mu, abs=1e-9)
-    assert babel_profile(d, 3) == pytest.approx(3 * mu, abs=1e-9)
-    assert babel_profile(d, 25) == pytest.approx(25 * mu, abs=1e-8)
-    assert babel_profile(d, 27) == pytest.approx(25 * mu, abs=1e-8)
-    with pytest.raises(ValueError, match="out of range"):
-        babel_profile(d, 0)
-    with pytest.raises(ValueError, match="out of range"):
-        babel_profile(d, len(d))
-
-
-def test_babel_of_orthonormal_basis_is_zero():
-    basis = np.eye(6, dtype=complex)
-    d = Dictionary("heisenberg", 5, basis[:5], [0, 0, 1, 1, 2],
-                   [0, 1, 0, 1, 0])
-    assert babel_profile(d, 2) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_shifted_coherence_exhaustive():

@@ -9,9 +9,14 @@ import numpy as np
 import pytest
 
 from oscdict.field import FpField
-from oscdict.heisenberg import (HeisenbergElement, h_inv, h_mul, identity,
-                                omega, pi, translate_rows)
+from oscdict.heisenberg import (HeisenbergElement, h_mul, identity, omega,
+                                pi, translate_rows)
 from oscdict.linalg import phase_table, unitarity_defect
+
+
+def h_inv(h: HeisenbergElement) -> HeisenbergElement:
+    """(v, z)^-1 = (-v, -z): the cocycle term w(v, -v) vanishes."""
+    return HeisenbergElement(-h.tau, -h.w, -h.z, h.field)
 
 
 def test_coordinates_reduced():

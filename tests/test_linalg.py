@@ -5,9 +5,15 @@ whose spectra are known in closed form (diagonals, the identity, the
 finite Fourier matrix) plus a seeded random unitary for reconstruction.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import oscdict
 from oscdict.linalg import (CLUSTER_TOL, EigenDecomposition, eig_unitary,
                             is_unitary, phase_normalize_rows, phase_table,
                             unitarity_defect)
@@ -180,3 +186,26 @@ def test_cluster_tol_exported():
     assert 0 < CLUSTER_TOL < 1e-6
     assert isinstance(eig_unitary(np.eye(2, dtype=complex)),
                       EigenDecomposition)
+
+
+def test_scipy_linalg_loads_on_the_first_eigensolve():
+    # only the non-split build eigensolves, so importing the package and
+    # building Heisenberg lines or split tori must not pay scipy's import
+    code = "\n".join((
+        "import sys",
+        "import oscdict, oscdict.cli",
+        "from oscdict.dictionary import (heisenberg_dictionary,",
+        "    nonsplit_oscillator, split_oscillator)",
+        "from oscdict.field import FpField",
+        "heisenberg_dictionary(FpField(11))",
+        "split_oscillator(FpField(11))",
+        "print('scipy.linalg' in sys.modules)",
+        "nonsplit_oscillator(FpField(11))",
+        "print('scipy.linalg' in sys.modules)",
+    ))
+    src = str(Path(oscdict.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.split() == ["False", "True"]

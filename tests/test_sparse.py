@@ -23,7 +23,7 @@ from oscdict.field import FpField
 from oscdict.sparse import (RecoveryError, RecoveryReport,
                             SparseRepresentation, _least_squares, omp,
                             orbit_correlations, recovery_experiment,
-                            synthesize, thresholding)
+                            synthesize)
 from oscdict.storage import load_dictionary, save_dictionary
 
 
@@ -108,25 +108,12 @@ def test_omp_duplicate_atoms_trip_guard():
     p = 5
     base = heisenberg_dictionary(FpField(p))
     V = np.vstack([base.vectors[0], base.vectors[0], base.vectors[7]])
-    d = Dictionary("heisenberg", p, V, [0, 1, 2], [0, 0, 0])
     f = V[0] + 0.5 * V[2]
-    # the duplicated atom can be picked twice only through the refit,
-    # which must detect the dependent selection
+    # a support holding one atom twice is dependent, and the refit that
+    # follows every OMP pick must detect it
     with pytest.raises(RecoveryError, match="ill-conditioned"):
-        thresholding(d, f, max_support=2)
-
-
-def test_thresholding_baseline():
-    d = heisenberg_dictionary(FpField(11))
-    f = synthesize(d, [4, 60], [1.0, 1.0j])
-    rep = thresholding(d, f, max_support=2)
-    assert rep.support == [4, 60]  # sorted support
-    got = dict(zip(rep.support, rep.coefficients))
-    assert got[4] == pytest.approx(1.0, abs=1e-10)
-    assert got[60] == pytest.approx(1.0j, abs=1e-10)
-    assert rep.residual_norm < 1e-10
-    with pytest.raises(ValueError, match="max_support"):
-        thresholding(d, f, max_support=0)
+        _least_squares(V[[0, 1]], f)
+    assert np.allclose(_least_squares(V[[0, 2]], f), [1.0, 0.5])
 
 
 def test_recovery_experiment_all_succeed():

@@ -15,7 +15,8 @@ from oscdict.linalg import phase_table, unitarity_defect
 from oscdict.sl2 import (SL2Element, diagonal, nonsplit_tori, sl2_elements,
                          sl2_identity, sl2_inv, sl2_mul,
                          split_representatives, unipotent, weyl_element)
-from oscdict.weil import egorov_defect, fourier_op, rho, scalar_defect
+from oscdict.weil import (chirp_table, egorov_defect, fourier_op, rho,
+                         scalar_defect)
 
 
 def scaling_op(field, a):
@@ -80,6 +81,25 @@ def test_chirp_op():
         for v in range(5):
             assert np.allclose(chirp_op(f, u) @ chirp_op(f, v),
                                chirp_op(f, u + v), atol=1e-15)
+
+
+def test_chirp_table_is_shared_and_read_only():
+    # rho, the builders, the orbit check and OMP's fold table all read one
+    # cached table per field, so no caller may write to it
+    for p in (5, 7, 11, 13):
+        f = FpField(p)
+        table = chirp_table(f)
+        assert chirp_table(FpField(p)) is table
+        assert not table.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 0
+        # M_x = rho(U(x)) is the diagonal of row x at t^2, bit for bit
+        t2 = np.arange(p) ** 2 % p
+        for x in range(p):
+            M = rho(unipotent(x, f))
+            assert np.array_equal(M, np.diag(np.diag(M)))
+            assert np.array_equal(np.diag(M), table[x, t2])
+            assert np.array_equal(M, chirp_op(f, x))
 
 
 def test_fourier_op():
