@@ -14,7 +14,9 @@ M_x = rho(U(x))) computes one magnitude per p pairs, from the seed rows
 alone; any other exhaustive scan forms the upper half of the Gram
 matrix, one row block at a time.  The orbit check is
 ``Dictionary.orbit_defect``, run once per dictionary and shared with
-OMP.  A sampled scan gathers its pairs in chunks of _PAIR_CHUNK.
+OMP.  A sampled scan gathers its pairs in chunks of _PAIR_CHUNK; the
+sampled shifted scan gathers its translated rows through the cached
+``heisenberg.shift_table`` into buffers reused across chunks.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .field import FpField
-from .heisenberg import translate_rows
+from .heisenberg import shift_table, translate_rows
 
 EXHAUSTIVE_PAIR_LIMIT = 50_000_000
 DEFAULT_SAMPLES = 1_000_000
@@ -336,7 +338,9 @@ def shifted_coherence(dictionary, mode: str = "auto",
     This is the stability statement behind the extended dictionary: the
     4/sqrt(p) bound must survive every nonzero time-frequency shift of
     one atom, including psi = phi.  Exhaustive mode scans all ordered
-    pairs for all p^2 - 1 shifts; sampled mode draws (i, j, v) triples.
+    pairs for all p^2 - 1 shifts; sampled mode draws (i, j, v) triples
+    and gathers the translated rows through ``heisenberg.shift_table``
+    into three chunk buffers reused across chunks and passes.
     """
     p = dictionary.prime
     field = FpField(p)
@@ -357,21 +361,32 @@ def shifted_coherence(dictionary, mode: str = "auto",
         if samples < 1:
             raise ValueError(f"samples must be at least 1, got {samples}")
         rng = np.random.default_rng(seed)
+        cols, phases = shift_table(field)
+        flat = V.reshape(-1)
+        left = np.empty((_PAIR_CHUNK, p), dtype=np.complex128)
+        right = np.empty_like(left)
+        index = np.empty((_PAIR_CHUNK, p), dtype=np.intp)
         remaining = samples
         while remaining > 0:
             m = min(remaining, 200_000)
             i = rng.integers(0, n, size=m)
             j = rng.integers(0, n, size=m)
             v = rng.integers(1, p * p, size=m)  # nonzero shifts only
-            tau, w = v // p, v % p
             for lo in range(0, m, _PAIR_CHUNK):
                 c = slice(lo, lo + _PAIR_CHUNK)
-                ci, cj, ct, cw = i[c], j[c], tau[c], w[c]
-                psi_rows = translate_rows(V[cj], ct[:, None], cw[:, None],
-                                          field)
-                acc.feed(_pair_magnitudes(V[ci], psi_rows),
+                ci, cj, cv = i[c], j[c], v[c]
+                idx, phi, psi = (buf[:ci.size] for buf in (index, left, right))
+                # psi_j moved by v = tau*p + w: entry t is V[j, cols[tau, t]]
+                # times phases[v, t].  Every index is in range, and "clip"
+                # lets np.take write into the buffers without a copy
+                np.take(cols, cv // p, 0, out=idx, mode="clip")
+                idx += (cj * p)[:, None]
+                np.take(flat, idx, out=psi, mode="clip")
+                psi *= phases[cv]
+                np.take(V, ci, 0, out=phi, mode="clip")
+                acc.feed(_pair_magnitudes(phi, psi),
                          argmax_of=lambda k: (int(ci[k]), int(cj[k]),
-                                              int(ct[k]), int(cw[k])))
+                                              *divmod(int(cv[k]), p)))
             remaining -= m
         used_seed = seed
     else:

@@ -43,7 +43,7 @@ import numpy as np
 from .field import FpField
 from .heisenberg import translate_rows
 from .linalg import eig_unitary, phase_normalize_rows, phase_pivots
-from .sl2 import (SL2Element, nonsplit_tori, split_representatives,
+from .sl2 import (SL2Element, _nonsplit_seeds, split_representatives,
                   weyl_element)
 from .weil import chirp_table, rho
 
@@ -280,14 +280,13 @@ def _nonsplit_family(field: FpField) -> tuple:
     of each torus.
     """
     p = field.p
-    tori = nonsplit_tori(field)
-    t0 = tori[0].generator
+    t0, seeds = _nonsplit_seeds(field)
     dec = eig_unitary(rho(t0))
     if dec.multiplicities != [1] * p:
         raise ValueError("unexpected degenerate spectrum: non-split "
                          f"generator {t0} at p={p} has multiplicities "
                          f"{dec.multiplicities}")
-    return dec.vectors().T, [T.conjugator for T in tori[::p]]
+    return dec.vectors().T, seeds
 
 
 def split_oscillator(field: FpField) -> Dictionary:

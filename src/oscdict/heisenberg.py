@@ -9,10 +9,16 @@ phases psi(z) = exp(2 pi i z / p); a general element is synthesized as
 
 where the cocycle factor psi(-(1/2) tau w) is exactly what makes
 pi(h1) pi(h2) = pi(h1 h2) hold with no scalar slack.
+
+The plane shifts pi(tau, w, 0) have one owner, ``shift_table``: a cached,
+read-only table per field of the column each shift reads and the phase it
+multiplies by.  ``translate_rows`` and the sampled shifted coherence scan
+both read it.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,13 +84,32 @@ def pi(h: HeisenbergElement) -> np.ndarray:
     return M
 
 
-def translate_rows(rows: np.ndarray, tau, w, field: FpField) -> np.ndarray:
-    """rows @ pi(tau, w, 0).T as a new complex array: entry t of each row
-    becomes psi(-(1/2) tau w + w (t + tau)) row[t + tau].  tau and w are
-    ints, or (k, 1) arrays that give each of the k rows its own shift."""
+@functools.lru_cache(maxsize=8)
+def shift_table(field: FpField) -> tuple:
+    """(cols, phases) of the plane shifts pi(tau, w, 0), so that entry t
+    of rows @ pi(tau, w, 0).T is row[cols[tau, t]] * phases[tau*p + w, t].
+
+    cols[tau, t] = (t + tau) mod p (p x p) and phases[tau*p + w, t] =
+    psi(-(1/2) tau w + w cols[tau, t]) (p^2 x p, 16 p^3 bytes).  Built
+    once per field on first use and shared by every caller, so both
+    arrays are read-only.
+    """
     p = field.p
-    cols = (np.arange(p) + tau) % p
-    out = rows[:, cols] if cols.ndim == 1 \
-        else np.take_along_axis(rows, cols, axis=1)
-    out *= phase_table(p)[(-field.half() * tau * w + w * cols) % p]
-    return out
+    t = np.arange(p)
+    cols = (t[None, :] + t[:, None]) % p
+    tau, w = np.divmod(np.arange(p * p), p)
+    phases = phase_table(p)[(-field.half() * (tau * w)[:, None]
+                             + w[:, None] * cols[tau]) % p]
+    cols.setflags(write=False)
+    phases.setflags(write=False)
+    return cols, phases
+
+
+def translate_rows(rows: np.ndarray, tau: int, w: int,
+                   field: FpField) -> np.ndarray:
+    """rows @ pi(tau, w, 0).T as a new complex array: entry t of each row
+    becomes psi(-(1/2) tau w + w (t + tau)) row[t + tau]."""
+    p = field.p
+    cols, phases = shift_table(field)
+    tau, w = tau % p, w % p
+    return rows[:, cols[tau]] * phases[tau * p + w]

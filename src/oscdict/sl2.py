@@ -193,6 +193,30 @@ def split_representatives(field: FpField) -> list:
             for b in range((p + 1) // 2) for c in range(p)]
 
 
+def _nonsplit_seeds(field: FpField) -> tuple:
+    """(t0, [h_j]): the reference generator and the seed conjugators of
+    the non-split tori, as ``nonsplit_tori`` describes them.  The
+    builders read only these; h_j is the conjugator of entry j*p."""
+    p = field.p
+    root = {}
+    for v in range(p):
+        root.setdefault(v * v % p, v)
+    nonsquares = [c for c in range(1, p) if field.legendre(c) == -1]
+    c0 = nonsquares[0]
+    t0 = next(g for g in (SL2Element(x, y, c0 * y, x, field)
+                          for x in range(p) for y in range(p)
+                          if (x * x - c0 * y * y) % p == 1)
+              if sl2_order(g) == p + 1)
+    seeds = []
+    for c in nonsquares:
+        lam = root[c0 * field.inv(c) % p]
+        norm = field.inv(lam)
+        b = next(b for b in range(p) if (norm + c * b * b) % p in root)
+        d = root[(norm + c * b * b) % p]
+        seeds.append(SL2Element(lam * d, b, lam * c * b, d, field))
+    return t0, seeds
+
+
 def nonsplit_tori(field: FpField) -> list:
     """All p(p-1)/2 non-split tori; entry j*p + x has conjugator U(x) h_j.
 
@@ -206,24 +230,10 @@ def nonsplit_tori(field: FpField) -> list:
     conjugates m0 to l [[0, 1], [c, 0]]; h_0 is the identity.  Each
     generator is g t0 g^-1 for the entry's conjugator g.
     """
-    p = field.p
-    root = {}
-    for v in range(p):
-        root.setdefault(v * v % p, v)
-    nonsquares = [c for c in range(1, p) if field.legendre(c) == -1]
-    c0 = nonsquares[0]
-    t0 = next(g for g in (SL2Element(x, y, c0 * y, x, field)
-                          for x in range(p) for y in range(p)
-                          if (x * x - c0 * y * y) % p == 1)
-              if sl2_order(g) == p + 1)
+    t0, seeds = _nonsplit_seeds(field)
     tori = []
-    for c in nonsquares:
-        lam = root[c0 * field.inv(c) % p]
-        norm = field.inv(lam)
-        b = next(b for b in range(p) if (norm + c * b * b) % p in root)
-        d = root[(norm + c * b * b) % p]
-        h = SL2Element(lam * d, b, lam * c * b, d, field)
-        for x in range(p):
+    for h in seeds:
+        for x in range(field.p):
             g = sl2_mul(unipotent(x, field), h)
             tori.append(TorusDescriptor("nonsplit", g,
                                         sl2_mul(sl2_mul(g, t0), sl2_inv(g))))

@@ -19,7 +19,7 @@ from oscdict.dictionary import (Dictionary, extended_dictionary,
                                 heisenberg_dictionary, nonsplit_oscillator,
                                 oscillator_dictionary, split_oscillator)
 from oscdict.field import FpField
-from oscdict.heisenberg import HeisenbergElement, pi
+from oscdict.heisenberg import HeisenbergElement, pi, shift_table
 from oscdict.linalg import phase_table
 from oscdict.storage import load_dictionary, save_dictionary
 
@@ -359,3 +359,74 @@ def test_sampled_scans_frozen_across_chunks():
         455, 443, 446, 488, 451, 433, 461, 387, 346, 264, 311, 260, 237, 189,
         194, 149, 143, 112, 80, 82, 72, 84, 52, 25, 26, 4, 12, 6, 0, 0, 0, 0,
         0, 0, 0, 0]
+
+
+def _shifted_scan_by_rows(d, samples, seed):
+    """The sampled shifted scan without the shift table, as a reference:
+    the same draws and chunks, but each chunk gathers V[cj], moves every
+    row by its own shift with take_along_axis and multiplies by psi at
+    the phase index computed per entry."""
+    V, p = d.vectors, d.prime
+    n = len(V)
+    psi, half = phase_table(p), FpField(p).half()
+    rng = np.random.default_rng(seed)
+    acc = _ScanAccumulator()
+    remaining = samples
+    while remaining > 0:
+        m = min(remaining, 200_000)
+        i = rng.integers(0, n, size=m)
+        j = rng.integers(0, n, size=m)
+        v = rng.integers(1, p * p, size=m)
+        tau, w = v // p, v % p
+        for lo in range(0, m, analysis._PAIR_CHUNK):
+            c = slice(lo, lo + analysis._PAIR_CHUNK)
+            ci, cj, ct, cw = i[c], j[c], tau[c], w[c]
+            cols = (np.arange(p) + ct[:, None]) % p
+            rows = np.take_along_axis(V[cj], cols, axis=1)
+            rows *= psi[(-half * ct[:, None] * cw[:, None]
+                         + cw[:, None] * cols) % p]
+            acc.feed(analysis._pair_magnitudes(V[ci], rows),
+                     argmax_of=lambda k: (int(ci[k]), int(cj[k]),
+                                          int(ct[k]), int(cw[k])))
+        remaining -= m
+    return CoherenceReport(
+        label="shifted-coherence", prime=p, kind=d.kind,
+        bound=4.0 / np.sqrt(p), max_coherence=acc.max,
+        min_coherence=acc.min, argmax=acc.argmax, mode="sampled",
+        seed=seed, pairs_evaluated=acc.count,
+        histogram_counts=acc.counts, histogram_edges=acc.edges,
+        shift_scan=True).to_dict()
+
+
+_SHIFT_GATE_DICTIONARIES = [(oscillator_dictionary, 5),
+                            (oscillator_dictionary, 7),
+                            (oscillator_dictionary, 11),
+                            (split_oscillator, 13),
+                            (nonsplit_oscillator, 11)]
+
+
+@pytest.mark.parametrize("builder, p", _SHIFT_GATE_DICTIONARIES)
+def test_sampled_shift_scan_equals_row_by_row_scan(builder, p):
+    # the shift-table scan reports exactly what the row-by-row scan did;
+    # 5_000 ends on a partial chunk, 200_100 runs a second pass
+    d = builder(FpField(p))
+    for seed in range(4):
+        for samples in (5_000, 200_100):
+            assert shifted_coherence(d, mode="sampled", samples=samples,
+                                     seed=seed).to_dict() \
+                == _shifted_scan_by_rows(d, samples, seed)
+
+
+def test_sampled_shift_gate_sees_swapped_shift(monkeypatch):
+    # a table read with tau and w swapped fails the gate above
+    f = FpField(7)
+    d = oscillator_dictionary(f)
+    want = _shifted_scan_by_rows(d, 5_000, 0)
+    assert shifted_coherence(d, mode="sampled", samples=5_000,
+                             seed=0).to_dict() == want
+    cols, phases = shift_table(f)
+    swapped = phases.reshape(7, 7, 7).transpose(1, 0, 2).reshape(49, 7)
+    monkeypatch.setattr(analysis, "shift_table",
+                        lambda field: (cols, swapped))
+    assert shifted_coherence(d, mode="sampled", samples=5_000,
+                             seed=0).to_dict() != want

@@ -10,7 +10,7 @@ import pytest
 
 from oscdict.field import FpField
 from oscdict.heisenberg import (HeisenbergElement, h_mul, identity, omega,
-                                pi, translate_rows)
+                                pi, shift_table, translate_rows)
 from oscdict.linalg import phase_table, unitarity_defect
 
 
@@ -172,3 +172,24 @@ def test_translate_rows_is_pi_on_rows():
             assert got.shape == rows.shape
             assert np.max(np.abs(got - rows @ P.T)) < 1e-13
     assert np.array_equal(translate_rows(rows, 0, 0, f), rows)
+
+
+def test_shift_table_is_shared_read_only_and_pi():
+    # one read-only table per field; column tau and phase row tau*p + w
+    # put exactly pi(tau, w, 0)'s entries on the identity's columns
+    p = 7
+    f = FpField(p)
+    cols, phases = shift_table(f)
+    again = shift_table(FpField(p))
+    assert again[0] is cols and again[1] is phases
+    assert cols.shape == (p, p) and phases.shape == (p * p, p)
+    for table in (cols, phases):
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 0
+    eye = np.eye(p)
+    for tau in range(p):
+        for w in range(p):
+            P = pi(HeisenbergElement(tau, w, 0, f))
+            assert np.array_equal(eye[:, cols[tau]] * phases[tau * p + w],
+                                  P.T)
