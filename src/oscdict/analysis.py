@@ -8,11 +8,13 @@ oscillator families) are statements about pairs from different groups.
 Within-group deviations are reported separately as orthonormality
 defects.  Scans are exhaustive while they compute at most 5e7
 magnitudes and seeded-random above, processed in fixed-size blocks so
-memory stays flat.  An exhaustive scan of chirp orbits (the oscillator
-families, whose group j*p + x is seed group j moved by the chirp
-M_x = rho(U(x))) computes one magnitude per p pairs, from the seed rows
-alone; any other exhaustive scan forms the upper half of the Gram
-matrix, one row block at a time.  The orbit check is
+memory stays flat.  An exhaustive scan of chirp orbits (every family,
+whose group j*p + x is seed group j moved by the chirp M_x = rho(U(x)))
+computes one magnitude per p pairs among the orbits, from the seed rows
+alone, and reads the tail (the fewer than p groups after the orbits:
+the Heisenberg deltas) densely, one magnitude per pair; any other
+exhaustive scan forms the upper half of the Gram matrix, one row block
+at a time.  The orbit check is
 ``Dictionary.orbit_defect``, run once per dictionary and shared with
 OMP.  A sampled scan gathers its pairs in chunks of _PAIR_CHUNK; the
 sampled shifted scan gathers its translated rows through the cached
@@ -169,38 +171,42 @@ def coherence(dictionary, mode: str = "auto", samples: int = DEFAULT_SAMPLES,
     """Cross-group coherence of a dictionary.
 
     mode "auto" scans exhaustively when the scan would compute at most
-    EXHAUSTIVE_PAIR_LIMIT magnitudes (the cross-group pair count, or a
-    p-th of it for chirp orbits) and falls back to seeded sampling
-    otherwise; "exhaustive" and "sampled" force the choice.  The report
+    EXHAUSTIVE_PAIR_LIMIT magnitudes (the cross-group pair count, with
+    the pairs among chirp orbits counted one per p) and falls back to
+    seeded sampling otherwise; "exhaustive" and "sampled" force the
+    choice.  The report
     also carries the worst within-group orthonormality defect
     (exhaustive scans only) and a 50-bin histogram of the evaluated
     magnitudes.
     """
-    n = len(dictionary)
-    if n < 2:
+    if len(dictionary) < 2:
         raise ValueError("coherence needs at least two atoms")
     gids = dictionary.group_ids
-    group_sizes = np.bincount(gids, minlength=dictionary.n_groups)
-    cross_pairs = (n * (n - 1) - int(np.sum(group_sizes *
-                                            (group_sizes - 1)))) // 2
+    cross_pairs = _cross_pairs(gids)
     if cross_pairs == 0:
         raise ValueError("coherence undefined: all atoms share one group")
     if mode not in ("auto", "exhaustive", "sampled"):
         raise ValueError(f"unknown scan mode {mode!r}")
-    # a chirp-orbit scan computes one magnitude per p cross pairs
+    # a chirp-orbit scan computes one magnitude per p cross pairs among
+    # the orbits, and one per pair with a tail atom
     p = dictionary.prime
     orbit_defect = None
     if mode == "exhaustive" or (mode == "auto" and
                                 cross_pairs // p <= EXHAUSTIVE_PAIR_LIMIT):
         orbit_defect = dictionary.orbit_defect
-    computed = cross_pairs if orbit_defect is None else cross_pairs // p
+    computed = cross_pairs
+    if orbit_defect is not None:
+        _, end, _ = dictionary.orbit_seeds
+        orbit_pairs = _cross_pairs(gids[:end])
+        computed -= orbit_pairs - orbit_pairs // p
     if mode == "sampled" or (mode == "auto"
                              and computed > EXHAUSTIVE_PAIR_LIMIT):
         return _coherence_sampled(dictionary, samples, seed)
+    acc = _ScanAccumulator()
     if orbit_defect is None:
-        acc, within = _scan_dense(dictionary)
+        within = _scan_dense(dictionary.vectors, gids, acc)
     else:
-        acc, within = _scan_orbits(dictionary, orbit_defect)
+        within = _scan_orbits(dictionary, orbit_defect, acc)
     assert acc.count == cross_pairs
     return CoherenceReport(
         label="coherence", prime=p, kind=dictionary.kind,
@@ -212,9 +218,17 @@ def coherence(dictionary, mode: str = "auto", samples: int = DEFAULT_SAMPLES,
     )
 
 
-def _scan_orbits(dictionary, orbit_defect: float) -> tuple:
-    """The exhaustive scan of a chirp-orbit dictionary, one magnitude per
-    p pairs.
+def _cross_pairs(gids: np.ndarray) -> int:
+    """Unordered pairs of atoms in different groups."""
+    n = len(gids)
+    sizes = np.bincount(gids)
+    return (n * (n - 1) - int(np.sum(sizes * (sizes - 1)))) // 2
+
+
+def _scan_orbits(dictionary, orbit_defect: float, acc) -> float:
+    """The exhaustive scan of a chirp-orbit dictionary into acc, one
+    magnitude per p pairs among the orbits; returns the within-group
+    defect.
 
     M_x is unitary and diagonal, and chirp_x' conj(chirp_x) = chirp_{x'-x},
     so |<M_x s, M_x' s'>| depends only on x' - x: the seed rows of group
@@ -222,42 +236,55 @@ def _scan_orbits(dictionary, orbit_defect: float) -> tuple:
     (b, x + d).  Each unordered pair is met once when the seed rows of
     orbit a meet groups (a, 1..(p-1)/2) and every group of the later
     orbits.  The seed rows are conjugated instead of V, since |S V*| =
-    |conj(S) V^T|.  Every group's defect is at most its seed group's
-    plus twice the orbit defect.
+    |conj(S) V^T|.  Every orbit group's defect is at most its seed
+    group's plus twice the orbit defect.  The tail atoms, whose groups
+    no chirp moves onto each other, are read densely with weight 1:
+    against every orbit atom, then by the dense scan among themselves,
+    which also measures their within-group defect.
     """
     V = dictionary.vectors
-    p, n = dictionary.prime, len(V)
-    runs, _ = dictionary.orbit_seeds
-    acc = _ScanAccumulator()
+    p = dictionary.prime
+    runs, end, _ = dictionary.orbit_seeds
     seed_defect = 0.0
-    for run_lo, _, seeds in runs:
+    for run_lo, run_hi, seeds in runs:
         m = seeds.shape[1]
         width = max(1, _BLOCK_CELLS // m)
-        for lo, rows in zip(range(run_lo, n, p * m), seeds):
+        for lo, rows in zip(range(run_lo, run_hi, p * m), seeds):
             seed_defect = max(seed_defect, verify_orthonormal(rows))
             rows_conj = rows.conj()
             for first, last in ((lo + m, lo + (p + 1) // 2 * m),
-                                (lo + p * m, n)):
+                                (lo + p * m, end)):
                 for c0 in range(first, last, width):
                     c1 = min(c0 + width, last)
                     mags = np.abs(rows_conj @ V[c0:c1].T)
                     acc.feed(mags.reshape(-1), weight=p,
                              argmax_of=lambda k: (lo + k // (c1 - c0),
                                                   c0 + k % (c1 - c0)))
-    return acc, seed_defect + 2.0 * orbit_defect
+    within = seed_defect + 2.0 * orbit_defect
+    if end < len(V):
+        tail = V[end:].conj()
+        t = len(tail)
+        width = max(1, _BLOCK_CELLS // t)
+        for c0 in range(0, end, width):
+            c1 = min(c0 + width, end)
+            mags = np.abs(V[c0:c1] @ tail.T)
+            acc.feed(mags.reshape(-1),
+                     argmax_of=lambda k: (c0 + k // t, end + k % t))
+        within = max(within, _scan_dense(V[end:], dictionary.group_ids[end:],
+                                         acc, end))
+    return within
 
 
-def _scan_dense(dictionary) -> tuple:
-    """The exhaustive scan of any dictionary: the upper half of its Gram,
-    one row block at a time."""
-    V = dictionary.vectors
-    gids = dictionary.group_ids
+def _scan_dense(V: np.ndarray, gids: np.ndarray, acc, offset: int = 0
+                ) -> float:
+    """The exhaustive scan of the atoms V, grouped by gids, into acc: the
+    upper half of their Gram, one row block at a time.  Pairs are
+    reported as indices plus offset; returns the within-group defect."""
     n = len(V)
     Vh = V.conj().T
     # group_ids are nondecreasing, so a group is a run of rows and row r's
     # cross-group partners j > r are exactly the columns [group_end[r], n)
     group_end = np.searchsorted(gids, gids, side="right")
-    acc = _ScanAccumulator()
     within = 0.0
     for start in range(0, n, _BLOCK_ROWS):
         stop = min(start + _BLOCK_ROWS, n)
@@ -279,10 +306,11 @@ def _scan_dense(dictionary) -> tuple:
         def position(k):
             r = int(np.searchsorted(row_stops, k, side="right"))
             first = int(row_stops[r - 1]) if r else 0
-            return start + r, start + int(ends[r]) + k - first
+            return (offset + start + r,
+                    offset + start + int(ends[r]) + k - first)
 
         acc.feed(mags[cross], argmax_of=position)
-    return acc, within
+    return within
 
 
 def _coherence_sampled(dictionary, samples: int, seed: int

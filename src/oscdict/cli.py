@@ -238,7 +238,7 @@ def _selftest_checks(field: FpField):
 
     r = rng.normal(size=p) + 1j * rng.normal(size=p)
     worst = 0.0
-    for d in (ds, dn):
+    for d in (dh, ds, dn):
         corr = orbit_correlations(d, r)
         worst = max(worst, np.inf if corr is None else float(
             np.max(np.abs(corr - np.abs(d.vectors @ r.conj())))))

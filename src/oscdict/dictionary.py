@@ -3,6 +3,7 @@
 * ``heisenberg_dictionary`` — p+1 orthonormal bases, one per line through
   the origin of the time-frequency plane, each the eigenbasis of a
   Heisenberg operator pi(l0); cross-line coherence is exactly 1/sqrt(p).
+  Group x is the line through (1, x), the deltas (line (0, 1)) come last.
 * ``split_oscillator`` — one orthonormal system per split torus of
   SL_2(F_p): the Weil translates rho(g) phi_chi of explicit character
   vectors, g running over the representative set R.
@@ -17,13 +18,15 @@ The first three are built the same way: one reference basis, moved to
 each group by rho(g) for a conjugator g.  The exchange identity
 rho(g) pi(h) rho(g)^-1 = pi(g.h) and conjugacy of the tori make every
 transported vector an exact eigenvector of the target family, so one
-eigenbasis per family suffices.  The oscillator families follow the
-orbit-major torus order of ``sl2``: only the p seed groups are moved by
-rho, and ``_chirp_orbits`` spreads each over its orbit with the chirps
-M_x = rho(U(x)).  Member order within a group is the reference order:
-the psi(m) order for Heisenberg lines (member m has pi(l0)-eigenvalue
-psi(m)), the character order for split tori, and the reference
-eigen-angle order for non-split tori.
+eigenbasis per family suffices.  Every family is listed orbit-major:
+only its seed groups are moved by rho, and ``_chirp_orbits`` spreads
+each over its orbit with the chirps M_x = rho(U(x)).  The Heisenberg
+lines are one orbit, the characters rho(w) delta spread over the lines
+(1, x), followed by the one line U(x) fixes, the deltas, as a tail
+group.  Member order within a group is the reference order: the psi(m)
+order for Heisenberg lines (member m has pi(l0)-eigenvalue psi(m)), the
+character order for split tori, and the reference eigen-angle order for
+non-split tori.
 
 Every build writes its atoms once, atom-major, into one complex array
 sized up front (the union runs both families through one
@@ -43,12 +46,12 @@ import numpy as np
 from .field import FpField
 from .heisenberg import translate_rows
 from .linalg import eig_unitary, phase_normalize_rows, phase_pivots
-from .sl2 import (SL2Element, _nonsplit_seeds, split_representatives,
-                  weyl_element)
+from .sl2 import _nonsplit_seeds, split_representatives, weyl_element
 from .weil import chirp_table, rho
 
 OSCILLATOR_KINDS = ("oscillator_split", "oscillator_nonsplit", "oscillator")
 _ORBIT_TOL = 1e-12  # largest orbit defect that counts as chirp orbits
+_CHECK_CELLS = 1 << 14  # entries per temporary of the orbit check: 256 KB
 
 
 class Dictionary:
@@ -102,24 +105,27 @@ class Dictionary:
     def orbit_seeds(self) -> tuple | None:
         """The seed rows of chirp orbits, or None when the atoms are not.
 
-        Returns (runs, norm): one (lo, hi, seeds) per run of consecutive
-        orbits with equally large groups, where atoms lo:hi are the run
-        and seeds is its (orbits, m, p) view of the rows of each orbit's
-        group (j, 0); and the largest seed row norm.
+        Returns (runs, end, norm): one (lo, hi, seeds) per run of
+        consecutive orbits with equally large groups, where atoms lo:hi
+        are the run and seeds is its (orbits, m, p) view of the rows of
+        each orbit's group (j, 0); the first atom of the tail (len(self)
+        when there is none); and the largest norm of a seed or tail row.
         """
         if self.orbit_defect is None:
             return None
         p = self.prime
-        starts = self._starts[::p]
+        starts = self._starts[::p]  # orbit bounds: tail groups number < p
         sizes = np.diff(starts) // p
         cuts = [0, *(np.flatnonzero(np.diff(sizes)) + 1), len(sizes)]
         runs = [(int(starts[a]), int(starts[b]),
                  self.vectors[starts[a]:starts[b]]
                  .reshape(b - a, p, sizes[a], p)[:, 0])
                 for a, b in zip(cuts[:-1], cuts[1:])]
-        norm = max(float(np.linalg.norm(seeds, axis=2).max())
-                   for _, _, seeds in runs)
-        return runs, norm
+        end = int(starts[-1])
+        rows = [seeds for _, _, seeds in runs] + [self.vectors[end:]]
+        norm = max(float(np.linalg.norm(r, axis=-1).max(initial=0.0))
+                   for r in rows)
+        return runs, end, norm
 
     def __repr__(self):
         return (f"Dictionary(kind={self.kind!r}, p={self.prime}, "
@@ -139,39 +145,25 @@ def expected_size(kind: str, p: int) -> int:
     }[kind]
 
 
-def line_directions(field: FpField) -> list:
-    """The p+1 lines through the origin: (1,0) first, then (s,1)."""
-    return [(1, 0)] + [(s, 1) for s in range(field.p)]
-
-
-def _transported(kind: str, field: FpField, reference: np.ndarray,
-                 conjugators) -> Dictionary:
-    """One group per conjugator g: the rows of reference moved by rho(g),
-    phase-normalized, in reference order."""
-    m, p = reference.shape
-    out = np.empty((len(conjugators), m, p), dtype=np.complex128)
-    for block, g in zip(out, conjugators):
-        block[...] = phase_normalize_rows(reference @ rho(g).T)
-    return Dictionary(kind, p, out.reshape(-1, p),
-                      *np.divmod(np.arange(len(out) * m), m))
-
-
 def _orbit_defect(dictionary) -> float | None:
     """How far the atoms are from chirp orbits, or None when they are not.
 
     Chirp orbits: the groups j*p + x, x = 0..p-1, form orbit j; they are
     equally large and nonempty, and row r of group (j, x) is a unimodular
     phase times chirp_x * (row r of group (j, 0)), where chirp_x[t] =
-    psi(-(x/2) t^2).  The defect is the largest residual norm of that
-    fit over all atoms; above _ORBIT_TOL the layout counts as no orbit.
-    The group sizes are checked first, so p + 1 Heisenberg lines are
-    refused without reading an atom.
+    psi(-(x/2) t^2).  The first n_groups - n_groups mod p groups must be
+    orbits, at least one; the rest, fewer than p groups, are the tail,
+    which readers take densely.  The defect is the largest residual norm
+    of that fit over all orbit atoms; above _ORBIT_TOL the layout counts
+    as no orbit.  The group sizes are checked first, so most other
+    layouts are refused without reading an atom.
     """
     p = dictionary.prime
     V = dictionary.vectors
     sizes = np.diff(dictionary._starts)
+    sizes = sizes[:sizes.size - sizes.size % p]  # the tail is not checked
     if V.shape[1] != p or dictionary._starts[0] or not sizes.size \
-            or sizes.size % p or sizes.min() == 0 \
+            or sizes.min() == 0 \
             or np.any(sizes.reshape(-1, p) != sizes[::p, None]):
         return None
     try:
@@ -183,19 +175,27 @@ def _orbit_defect(dictionary) -> float | None:
     starts = dictionary._starts[::p]
     worst = 0.0
     for lo, hi, m in zip(starts[:-1], starts[1:], sizes[::p]):
-        q = V[lo:hi].reshape(p, m, p) * unchirp
-        fit = np.einsum("rt,xrt->xr", q[0].conj(), q)
-        mag = np.abs(fit)
-        phase = np.divide(fit, mag, out=np.ones_like(fit), where=mag > 0)
-        residual = q - phase[:, :, None] * q[0]
-        worst = max(worst, float(np.linalg.norm(residual, axis=2).max()))
-        if not worst <= _ORBIT_TOL:
-            return None
+        orbit = V[lo:hi].reshape(p, m, p)
+        seed = orbit[0] * unchirp[0]
+        # a few groups at a time, so no temporary is larger than
+        # _CHECK_CELLS entries however large the bundle
+        step = max(1, _CHECK_CELLS // (m * p))
+        for x in range(0, p, step):
+            q = orbit[x:x + step] * unchirp[x:x + step]
+            fit = np.einsum("rt,xrt->xr", seed.conj(), q)
+            mag = np.abs(fit)
+            phase = np.divide(fit, mag, out=np.ones_like(fit), where=mag > 0)
+            residual = q - phase[:, :, None] * seed
+            worst = max(worst, float(np.linalg.norm(residual, axis=2).max()))
+            if not worst <= _ORBIT_TOL:
+                return None
     return worst
 
 
-def _chirp_orbits(kind: str, field: FpField, families) -> Dictionary:
-    """Each (reference, seeds) family's orbit groups in turn, in one array.
+def _chirp_orbits(kind: str, field: FpField, families,
+                  tail=()) -> Dictionary:
+    """Each (reference, seeds) family's orbit groups in turn, in one array,
+    then the rows of tail, if any, as one last group.
 
     Group j*p + x of a family holds the rows of its reference moved by
     rho(U(x) g_j), for the seed conjugators g_j.  rho(U(x) g) =
@@ -209,7 +209,8 @@ def _chirp_orbits(kind: str, field: FpField, families) -> Dictionary:
     t = np.arange(p)
     t2 = t * t % p
     chirp = chirp_table(field)
-    n = sum(len(seeds) * p * len(reference) for reference, seeds in families)
+    n = len(tail) + sum(len(seeds) * p * len(reference)
+                        for reference, seeds in families)
     vectors = np.empty((n, p), dtype=np.complex128)
     group_ids = np.empty(n, dtype=np.int64)
     member_ids = np.empty(n, dtype=np.int64)
@@ -227,6 +228,10 @@ def _chirp_orbits(kind: str, field: FpField, families) -> Dictionary:
         group_ids[lo:hi], member_ids[lo:hi] = np.divmod(np.arange(hi - lo), m)
         group_ids[lo:hi] += first_group
         lo, first_group = hi, first_group + len(seeds) * p
+    if len(tail):
+        vectors[lo:] = tail
+        group_ids[lo:] = first_group
+        member_ids[lo:] = np.arange(n - lo)
     return Dictionary(kind, p, vectors, group_ids, member_ids)
 
 
@@ -236,13 +241,14 @@ def heisenberg_dictionary(field: FpField) -> Dictionary:
     The deltas are the eigenbasis of pi(0,1,0), delta_m with eigenvalue
     psi(m).  A conjugator g with g.(0,1) = l0 carries them to the
     eigenbasis of pi(l0) with the same eigenvalues, so member m is the
-    psi(m)-eigenvector.  The (0,1) line gives delta functions, the (1,0)
-    line normalized characters, the (s,1) lines chirps (Alltop's bases).
+    psi(m)-eigenvector.  Group x (x = 0..p-1) is the line through
+    (1, x) = U(x) w.(0,1): the characters rho(w) delta, normalized, times
+    the chirp M_x (Alltop's bases), so the p lines are one chirp orbit.
+    The deltas, the line (0,1) that U(x) fixes, are group p.
     """
-    conjugators = [weyl_element(field) if w == 0
-                   else SL2Element(1, tau, 0, 1, field)
-                   for tau, w in line_directions(field)]
-    return _transported("heisenberg", field, np.eye(field.p), conjugators)
+    p = field.p
+    return _chirp_orbits("heisenberg", field,
+                         [(np.eye(p), [weyl_element(field)])], tail=np.eye(p))
 
 
 def _standard_basis_matrix(field: FpField) -> np.ndarray:

@@ -9,9 +9,11 @@ experiment harness operates in.
 The correlation step |<atom, r>| = |V r*| reads the whole dictionary.
 When the atoms are chirp orbits (``Dictionary.orbit_defect``), atom
 (j, x, i) is a unimodular phase times chirp_x * (seed row i of orbit j),
-with chirp_x[t] = psi(-(x/2) t^2), so the correlations come from the n/p
-seed rows alone: fold t with -t, since chirp_x[t] depends on t^2 only,
-and one product with the (p+1)/2 x p table chirp_x[u^2] gives every x.
+with chirp_x[t] = psi(-(x/2) t^2), so the orbit correlations come from
+the seed rows alone: fold t with -t, since chirp_x[t] depends on t^2
+only, and one product with the (p+1)/2 x p table chirp_x[u^2] gives
+every x.  The tail after the orbits (the Heisenberg deltas) is read
+densely.  So a Heisenberg step reads 2p rows instead of p(p+1).
 """
 
 from __future__ import annotations
@@ -74,17 +76,17 @@ def _fold_table(p: int) -> np.ndarray:
 
 
 def orbit_correlations(dictionary, r: np.ndarray) -> np.ndarray | None:
-    """|<atom, r>| for every atom from the seed rows alone (|V r*| up to
-    rounding), or None when the atoms are not chirp orbits.
+    """|<atom, r>| for every atom from the seed and tail rows alone
+    (|V r*| up to rounding), or None when the atoms are not chirp orbits.
 
     With W = seeds * conj(r), atom (j, x, i) correlates to
     sum_t W[j, i, t] chirp_x[t] up to a unimodular phase; folding W[-t]
     onto W[t] leaves (p+1)/2 terms, and one product with the fold table
-    gives that sum for every x.
+    gives that sum for every x.  The tail rows take the dense product.
     """
     if dictionary.orbit_seeds is None:
         return None
-    runs, _ = dictionary.orbit_seeds
+    runs, end, _ = dictionary.orbit_seeds
     fold = _fold_table(dictionary.prime)
     h = len(fold)
     corr = np.empty(len(dictionary))
@@ -96,6 +98,7 @@ def orbit_correlations(dictionary, r: np.ndarray) -> np.ndarray | None:
         sums = w[..., :h].reshape(-1, h) @ fold
         np.abs(sums.reshape(k, m, p).transpose(0, 2, 1),
                out=corr[lo:hi].reshape(k, p, m))
+    np.abs(dictionary.vectors[end:] @ rc, out=corr[end:])
     return corr
 
 
@@ -108,7 +111,8 @@ def _best_atom(dictionary, residual, support, floor):
     defect, plus the rounding of two length-p inner products with rows
     of norm at most norm + defect, each under 2 (p + 8) eps times their
     norms (Higham's complex dot-product bound, with room for the rounded
-    table entries and the fold), all times ||r||.  So the dense pick
+    table entries and the fold), all times ||r||.  A tail correlation is
+    two roundings of the same inner product, well inside that window.  So the dense pick
     lies within twice the window of the orbit maximum, and a lone atom
     there, clear of floor, is the dense pick.  Otherwise (a near tie, or
     a maximum not clear of floor) the dense step itself runs, so the
@@ -120,7 +124,7 @@ def _best_atom(dictionary, residual, support, floor):
         best = int(np.argmax(corr))
         top = corr[best]
         defect = dictionary.orbit_defect
-        _, norm = dictionary.orbit_seeds
+        _, _, norm = dictionary.orbit_seeds
         window = (defect + 4 * (dictionary.prime + 8) * _EPS
                   * (norm + defect)) * np.linalg.norm(residual)
         if top - window > floor \

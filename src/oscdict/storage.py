@@ -34,7 +34,7 @@ from .dictionary import Dictionary
 
 MAGIC = b"OSCDICT\x00"
 FORMAT_VERSION = 2
-PHASE_CONVENTION = 3
+PHASE_CONVENTION = 4
 PAYLOAD_DICTIONARY = 1
 PAYLOAD_SIGNAL = 2
 _HEADER = struct.Struct("<8sIIQQ")

@@ -190,13 +190,27 @@ def _damaged_union(field):
     return Dictionary(d.kind, d.prime, V, d.group_ids, d.member_ids)
 
 
+def _union_with_tail(field):
+    """The oscillator union followed by a tail group: the rows of a random
+    unitary, which no chirp maps onto themselves, so a scan must read
+    them with weight 1."""
+    d = oscillator_dictionary(field)
+    p = field.p
+    rng = np.random.default_rng(p)
+    q, _ = np.linalg.qr(rng.normal(size=(p, p)) + 1j * rng.normal(size=(p, p)))
+    return Dictionary(d.kind, p, np.vstack([d.vectors, q]),
+                      np.append(d.group_ids, [d.n_groups] * p),
+                      np.append(d.member_ids, np.arange(p)))
+
+
 _ORBIT_BUILDERS = (split_oscillator, nonsplit_oscillator,
-                   oscillator_dictionary)
+                   oscillator_dictionary, heisenberg_dictionary)
+_ORBIT_LAYOUTS = (*_ORBIT_BUILDERS, _union_with_tail)
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13])
-@pytest.mark.parametrize("builder", [*_ORBIT_BUILDERS, heisenberg_dictionary,
-                                     _damaged_heisenberg, _damaged_union])
+@pytest.mark.parametrize("builder", [*_ORBIT_LAYOUTS, _damaged_heisenberg,
+                                     _damaged_union])
 def test_exhaustive_scan_matches_full_gram(builder, p):
     # brute force: the whole Gram at once, its i < j cross-group entries
     # in row-major order, and the histogram np.histogram gives for them
@@ -213,7 +227,8 @@ def test_exhaustive_scan_matches_full_gram(builder, p):
     r = coherence(d, mode="exhaustive")
     assert r.pairs_evaluated == vals.size
     assert r.within_group_defect == pytest.approx(dev.max(), abs=1e-14)
-    if builder in _ORBIT_BUILDERS:
+    assert (d.orbit_defect is not None) == (builder in _ORBIT_LAYOUTS)
+    if builder in _ORBIT_LAYOUTS:
         # one computed magnitude stands for p that differ only by rounding
         assert r.min_coherence == pytest.approx(vals.min(), abs=1e-15)
         i, j = r.argmax
@@ -240,7 +255,7 @@ def test_orbit_structure_detection(tmp_path):
     assert load_dictionary(str(tmp_path / "union")).orbit_defect \
         == oscillator_dictionary(f).orbit_defect
     no_field = Dictionary("oscillator", 9, np.eye(9), range(9), [0] * 9)
-    for d in (heisenberg_dictionary(f), _damaged_union(f),
+    for d in (_damaged_union(f),
               extended_dictionary(oscillator_dictionary(f)), no_field):
         assert d.orbit_defect is None
     assert coherence(no_field, mode="exhaustive").max_coherence == 0.0

@@ -11,9 +11,9 @@ import pytest
 
 from oscdict.dictionary import (Dictionary, expected_size,
                                 extended_dictionary, heisenberg_dictionary,
-                                line_directions, nonsplit_oscillator,
-                                oscillator_dictionary, split_oscillator,
-                                unit_norm_defect, _standard_basis_matrix)
+                                nonsplit_oscillator, oscillator_dictionary,
+                                split_oscillator, unit_norm_defect,
+                                _standard_basis_matrix)
 from oscdict.field import FpField
 from oscdict.heisenberg import HeisenbergElement, pi
 from oscdict.linalg import (UNIT_NORM_TOL, eig_unitary, phase_normalize_rows,
@@ -66,10 +66,23 @@ def test_dictionary_validation():
         Dictionary("heisenberg", 5, v, [0, 0], [0, 1])
 
 
+def line_directions(field):
+    """Oracle: the generator (tau, w) of each Heisenberg group, in group
+    order: the lines through (1, x), then the deltas' line (0, 1)."""
+    return [(1, x) for x in range(field.p)] + [(0, 1)]
+
+
 def test_line_directions():
-    f = FpField(5)
-    lines = line_directions(f)
-    assert lines == [(1, 0), (0, 1), (1, 1), (2, 1), (3, 1), (4, 1)]
+    # every line through the origin, each once: no two generators are
+    # multiples of each other
+    for p in (5, 7, 11):
+        f = FpField(p)
+        lines = line_directions(f)
+        assert len(lines) == p + 1
+        slopes = {(w * f.inv(tau)) % p if tau else None for tau, w in lines}
+        assert len(slopes) == p + 1
+    assert line_directions(FpField(5)) == [(1, 0), (1, 1), (1, 2), (1, 3),
+                                           (1, 4), (0, 1)]
 
 
 def test_heisenberg_dictionary_structure():
@@ -86,10 +99,10 @@ def test_heisenberg_dictionary_structure():
 
 def test_heisenberg_line_01_is_deltas():
     # the (0,1) line operator is diagonal, so its eigenbasis is the
-    # standard basis, angle-ordering puts delta_m at member m
+    # standard basis, delta_m at member m; it is the last group
     p = 7
     d = heisenberg_dictionary(FpField(p))
-    B = d.group_matrix(1)
+    B = d.group_matrix(p)
     assert np.max(np.abs(B - np.eye(p))) < 1e-12
 
 
@@ -102,7 +115,8 @@ def test_heisenberg_line_10_is_characters():
 
 
 def test_heisenberg_members_are_psi_eigenvectors():
-    # member m of the line l0 is the psi(m)-eigenvector of pi(l0)
+    # member m of the line l0 is the psi(m)-eigenvector of pi(l0), l0 the
+    # generator line_directions gives its group
     for p in (5, 7, 11, 13):
         f = FpField(p)
         d = heisenberg_dictionary(f)

@@ -31,7 +31,7 @@ def test_synthesize():
     d = heisenberg_dictionary(FpField(5))
     f = synthesize(d, [0, 7], [2.0, -1.0j])
     assert np.allclose(f, 2.0 * d.vectors[0] - 1.0j * d.vectors[7])
-    # orthonormal atoms satisfy Pythagoras: atoms 5..9 are the deltas
+    # orthonormal atoms satisfy Pythagoras: atoms 5..9 are line (1, 1)
     g = synthesize(d, [5, 6], [3.0, 4.0])
     assert np.linalg.norm(g) == pytest.approx(5.0)
     with pytest.raises(ValueError, match="length"):
@@ -207,7 +207,7 @@ def _assert_same(got, want):
 
 
 _ORBIT_BUILDERS = (split_oscillator, nonsplit_oscillator,
-                   oscillator_dictionary)
+                   oscillator_dictionary, heisenberg_dictionary)
 
 
 @cache
@@ -287,11 +287,22 @@ def _damaged_union(field):
     return Dictionary(d.kind, d.prime, V, d.group_ids, d.member_ids)
 
 
+def _old_layout_heisenberg(field):
+    """Heisenberg lines with the deltas second, as bundles of phase
+    convention 3 kept them: groups [0, p, 1, ..., p-1] of today's."""
+    d = heisenberg_dictionary(field)
+    p = field.p
+    order = np.concatenate([np.arange(p), np.arange(p * p, p * p + p),
+                            np.arange(p, p * p)])
+    return Dictionary(d.kind, p, d.vectors[order],
+                      np.repeat(np.arange(p + 1), p), d.member_ids[order])
+
+
 def test_non_orbit_layouts_take_the_dense_path():
     f = FpField(5)
     no_field = Dictionary("oscillator", 9, np.eye(9), range(9), [0] * 9)
     rng = np.random.default_rng(3)
-    for d in (_damaged_union(f), heisenberg_dictionary(f),
+    for d in (_damaged_union(f), _old_layout_heisenberg(f),
               extended_dictionary(oscillator_dictionary(f)), no_field):
         assert d.orbit_defect is None and d.orbit_seeds is None
         signal = rng.normal(size=d.prime) + 1j * rng.normal(size=d.prime)

@@ -54,7 +54,7 @@ def test_manifest_contents(tmp_path):
     on_disk = json.loads((tmp_path / "b" / MANIFEST_NAME).read_text())
     assert on_disk == manifest
     assert manifest["format_version"] == 2
-    assert manifest["phase_convention"] == 3
+    assert manifest["phase_convention"] == 4
     assert manifest["prime"] == 7
     assert manifest["kind"] == "heisenberg"
     assert manifest["atom_count"] == 56
