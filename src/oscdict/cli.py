@@ -104,11 +104,13 @@ def _report_text(rep) -> str:
     ]
     if rep.within_group_defect is not None:
         lines.append(f"within-group     {rep.within_group_defect:.3e}")
-    nz = np.flatnonzero(rep.histogram_counts)
-    for b in nz:
+    counts = rep.histogram_counts
+    for b in np.flatnonzero(counts):
+        # the last bin is closed, as in np.histogram: it holds 1.0
+        close = "]" if b == len(counts) - 1 else ")"
         lines.append(f"  [{rep.histogram_edges[b]:.2f},"
-                     f"{rep.histogram_edges[b + 1]:.2f})  "
-                     f"{int(rep.histogram_counts[b])}")
+                     f"{rep.histogram_edges[b + 1]:.2f}{close}  "
+                     f"{int(counts[b])}")
     return "\n".join(lines) + "\n"
 
 

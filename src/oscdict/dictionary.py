@@ -12,7 +12,8 @@
   must be simple or the build refuses), transported to every torus.
 * ``extended_dictionary`` — all Heisenberg translates pi(tau, w, 0) of an
   oscillator dictionary, p^2 copies grouped so each translated system
-  stays orthonormal.
+  stays orthonormal, each written in place from one column gather per
+  time shift tau, its phase pivots read off the base's tie sets.
 
 The first three are built the same way: one reference basis, moved to
 each group by rho(g) for a conjugator g.  The exchange identity
@@ -30,11 +31,11 @@ non-split tori.
 
 Every build writes its atoms once, atom-major, into one complex array
 sized up front (the union runs both families through one
-``_chirp_orbits`` call, the extended family fills one slice per shift),
-so it peaks near one bundle.  Every atom is unit norm and
-phase-normalized (its first largest-magnitude entry is real positive),
-and all orderings (groups, members, shifts) are fixed, so builds are
-bit-reproducible.
+``_chirp_orbits`` call, the extended family computes each shift in its
+own slice with O(n p) scratch in all), so it peaks near one bundle.
+Every atom is unit norm and phase-normalized (its first largest-magnitude
+entry is real positive), and all orderings (groups, members, shifts) are
+fixed, so builds are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -44,14 +45,19 @@ from functools import cached_property
 import numpy as np
 
 from .field import FpField
-from .heisenberg import translate_rows
-from .linalg import eig_unitary, phase_normalize_rows, phase_pivots
+from .heisenberg import shift_table
+from .linalg import (PIVOT_TIE_TOL, eig_unitary, phase_normalize_rows,
+                     phase_pivots)
 from .sl2 import _nonsplit_seeds, split_representatives, weyl_element
 from .weil import chirp_table, rho
 
 OSCILLATOR_KINDS = ("oscillator_split", "oscillator_nonsplit", "oscillator")
 _ORBIT_TOL = 1e-12  # largest orbit defect that counts as chirp orbits
 _CHECK_CELLS = 1 << 14  # entries per temporary of the orbit check: 256 KB
+# least distance, relative to the row maximum, of a base magnitude from the
+# phase-pivot tie threshold for the extended build to rotate the base's
+# pivots; it bounds the ~1e-16 relative rounding of a unimodular phase
+_PIVOT_MARGIN = 1e-12
 
 
 class Dictionary:
@@ -79,7 +85,7 @@ class Dictionary:
         if not (len(self.group_ids) == len(self.member_ids)
                 == len(self.shifts) == n):
             raise ValueError("provenance arrays out of step with atoms")
-        if n and np.any(np.diff(self.group_ids) < 0):
+        if np.any(self.group_ids[1:] < self.group_ids[:-1]):
             raise ValueError("group ids must be nondecreasing")
         self.n_groups = int(self.group_ids[-1]) + 1 if n else 0
         # start offset of each group (groups are contiguous, may be empty)
@@ -319,17 +325,47 @@ def extended_dictionary(base: Dictionary) -> Dictionary:
     fills slice v of one (p^2, n, p) array, so slice 0 is the base
     dictionary itself, bit for bit; group ids refine to (shift, base
     group) pairs, preserving orthonormality within groups.
+
+    Each slice is written in place, with O(n p) scratch for the whole
+    build: per tau the base columns shift_table(field)[0][tau] are
+    gathered once into one buffer, and per w that buffer times the shift's
+    phases is the slice, rotated so each row's phase pivot is real
+    positive.  This is translate_rows then phase_normalize_rows, the same
+    IEEE operations, so the atoms are the same bit for bit.  A shift moves
+    magnitudes only by the rounding of a unimodular phase (~1e-16
+    relative), so row r's pivot is the first entry of the base's tie set
+    (magnitudes within PIVOT_TIE_TOL of the row maximum top, as
+    phase_pivots ties them) rotated by tau.  That holds while every base
+    magnitude lies more than _PIVOT_MARGIN * top from the tie threshold;
+    a base that fails this guard has phase_pivots taken on every slice
+    instead.
     """
     if base.kind not in OSCILLATOR_KINDS:
         raise ValueError(f"cannot extend a {base.kind!r} dictionary")
     field = FpField(base.prime)
     p, n = field.p, len(base)
+    cols, phases = shift_table(field)
     shifts = np.indices((p, p)).reshape(2, -1).T  # row v is (tau, w)
     out = np.empty((p * p, n, p), dtype=np.complex128)
     out[0] = base.vectors
-    for v in range(1, p * p):
-        out[v] = phase_normalize_rows(
-            translate_rows(base.vectors, *shifts[v], field))
+    mags = np.abs(base.vectors)
+    top = mags.max(axis=1, keepdims=True)
+    threshold = top * (1.0 - PIVOT_TIE_TOL)
+    ties = mags >= threshold  # each row's tie set, as phase_pivots takes it
+    guarded = bool(np.all(np.abs(mags - threshold) > _PIVOT_MARGIN * top))
+    gathered = np.empty((n, p), dtype=np.complex128)
+    rotated = np.empty((n, p), dtype=bool)
+    rows = np.arange(n)
+    for tau in range(p):
+        np.take(base.vectors, cols[tau], axis=1, out=gathered, mode="clip")
+        if guarded:
+            np.take(ties, cols[tau], axis=1, out=rotated, mode="clip")
+            pivots = rotated.argmax(axis=1)
+        for v in range(tau * p + (tau == 0), tau * p + p):  # v=0: the base
+            atoms = np.multiply(gathered, phases[v], out=out[v])
+            pivot = atoms[rows, pivots if guarded else phase_pivots(atoms)]
+            atoms *= np.divide(np.abs(pivot), pivot, where=pivot != 0,
+                               out=np.ones(n, dtype=np.complex128))[:, None]
     gids = base.group_ids + base.n_groups * np.arange(p * p)[:, None]
     return Dictionary("extended", p, out.reshape(-1, p), gids.reshape(-1),
                       np.tile(base.member_ids, p * p),

@@ -12,8 +12,8 @@ pi(h1) pi(h2) = pi(h1 h2) hold with no scalar slack.
 
 The plane shifts pi(tau, w, 0) have one owner, ``shift_table``: a cached,
 read-only table per field of the column each shift reads and the phase it
-multiplies by.  ``translate_rows`` and the sampled shifted coherence scan
-both read it.
+multiplies by.  ``translate_rows``, the sampled shifted coherence scan and
+the extended dictionary build read it.
 """
 
 from __future__ import annotations

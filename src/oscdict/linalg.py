@@ -16,6 +16,7 @@ import numpy as np
 UNITARY_TOL = 1e-10
 UNIT_NORM_TOL = 1e-12
 CLUSTER_TOL = 1e-8
+PIVOT_TIE_TOL = 1e-9  # relative gap below a row maximum that still ties
 
 
 def phase_table(p: int) -> np.ndarray:
@@ -36,13 +37,13 @@ def is_unitary(A: np.ndarray, tol: float = UNITARY_TOL) -> bool:
 def phase_pivots(M: np.ndarray) -> np.ndarray:
     """Column of each row's first largest-magnitude entry.
 
-    Magnitudes within 1e-9 relative of the row maximum count as ties,
-    which go to the smallest index, so the choice is stable against
+    Magnitudes within PIVOT_TIE_TOL relative of the row maximum count as
+    ties, which go to the smallest index, so the choice is stable against
     last-ulp noise.
     """
     mags = np.abs(M)
     top = mags.max(axis=1, keepdims=True)
-    return (mags >= top * (1.0 - 1e-9)).argmax(axis=1)
+    return (mags >= top * (1.0 - PIVOT_TIE_TOL)).argmax(axis=1)
 
 
 def phase_normalize_rows(M: np.ndarray) -> np.ndarray:

@@ -9,6 +9,7 @@ reproduce at the identity representative.
 import numpy as np
 import pytest
 
+from oscdict import dictionary
 from oscdict.dictionary import (Dictionary, expected_size,
                                 extended_dictionary, heisenberg_dictionary,
                                 nonsplit_oscillator, oscillator_dictionary,
@@ -17,7 +18,7 @@ from oscdict.dictionary import (Dictionary, expected_size,
 from oscdict.field import FpField
 from oscdict.heisenberg import HeisenbergElement, pi
 from oscdict.linalg import (UNIT_NORM_TOL, eig_unitary, phase_normalize_rows,
-                            phase_table)
+                            phase_pivots, phase_table)
 from oscdict.weil import rho
 from oscdict.sl2 import nonsplit_tori, split_representatives
 
@@ -306,7 +307,7 @@ def test_oscillator_union():
                               _concatenated_union(f))
 
 
-def test_extended_dictionary():
+def test_extended_dictionary(monkeypatch):
     p = 5
     f = FpField(p)
     base = split_oscillator(f)
@@ -330,15 +331,57 @@ def test_extended_dictionary():
     for g in rng.integers(0, ext.n_groups, size=10):
         B = ext.group_matrix(int(g))
         assert np.max(np.abs(B @ B.conj().T - np.eye(len(B)))) < 1e-12
-    # the one-array build equals the stacked translates bit for bit, over
-    # each oscillator base
-    for p in (5, 7, 11):
-        f = FpField(p)
-        for build in (split_oscillator, nonsplit_oscillator,
-                      oscillator_dictionary):
-            base = build(f)
-            _assert_bit_identical(extended_dictionary(base),
-                                  _concatenated_extended(base))
+    # the in-place build equals the stacked translates bit for bit, over
+    # each oscillator base and the union at the benchmark's p=13; every one
+    # of these bases passes the pivot guard, so no slice takes phase_pivots
+    bases = [build(FpField(p)) for p in (5, 7, 11)
+             for build in (split_oscillator, nonsplit_oscillator,
+                           oscillator_dictionary)]
+    bases.append(oscillator_dictionary(FpField(13)))
+    calls = _count_phase_pivots(monkeypatch)
+    for base in bases:
+        _assert_bit_identical(extended_dictionary(base),
+                              _concatenated_extended(base))
+    assert calls == []
+
+
+def _count_phase_pivots(monkeypatch):
+    """Record every phase_pivots call the builders make from now on."""
+    calls = []
+
+    def counted(M):
+        calls.append(M.shape)
+        return phase_pivots(M)
+    monkeypatch.setattr(dictionary, "phase_pivots", counted)
+    return calls
+
+
+def test_extended_near_tie_takes_per_slice_pivots(monkeypatch):
+    # a hand-made base whose row 0 has a second magnitude on its tie
+    # threshold (within the 1e-12 guard margin): the rounding of a shift's
+    # phases moves it in and out of the tie set, so the base's tie set
+    # does not give every slice's pivot and the build must fall back
+    p = 5
+    f = FpField(p)
+    vectors = split_oscillator(f).vectors.copy()
+    vectors[0] = (np.array([0.3, 1.0, 0.5, 1.0 - 1e-9, 0.2])
+                  * np.exp(1j * np.arange(p)))
+    base = Dictionary("oscillator_split", p, vectors,
+                      np.arange(len(vectors)) // (p - 2),
+                      np.arange(len(vectors)) % (p - 2))
+    t = np.arange(p)
+    mags = np.abs(vectors[0])
+    ties = mags >= mags.max() * (1.0 - 1e-9)
+    psi = phase_table(p)
+    moved = [(tau, w) for tau in range(p) for w in range(p)
+             if phase_pivots(vectors[0][(t + tau) % p][None]
+                             * psi[(-f.half() * tau * w + w * (t + tau)) % p])
+             != ties[(t + tau) % p].argmax()]
+    assert moved  # the rotated tie set would pick a wrong pivot here
+    calls = _count_phase_pivots(monkeypatch)
+    _assert_bit_identical(extended_dictionary(base),
+                          _concatenated_extended(base))
+    assert calls == [(len(base), p)] * (p * p - 1)  # every slice but the base
 
 
 def test_extended_orbit_is_injective():

@@ -202,6 +202,8 @@ def test_build_and_coherence_roundtrip(tmp_path, capsys):
     assert main(["coherence", out]) == 0
     stdout = capsys.readouterr().out
     assert "max coherence" in stdout and "0.377964473" in stdout
+    # all 56 * 49 / 2 cross pairs at 1/sqrt(7), in a half-open bin
+    assert stdout.splitlines()[-1] == "  [0.36,0.38)  1372"
 
 
 def test_build_kind_mapping(tmp_path, capsys):
@@ -364,7 +366,11 @@ def test_coherence_flags_violated_bound(tmp_path, capsys):
                       [0, 1], [0, 0])
     save_dictionary(fake, str(tmp_path / "fake"))
     assert main(["coherence", str(tmp_path / "fake")]) == 1
-    assert "exceeds proven bound" in capsys.readouterr().err
+    printed = capsys.readouterr()
+    assert "exceeds proven bound" in printed.err
+    # the magnitude 1 lies in the last bin, which is closed as in
+    # np.histogram, so the text report prints it so
+    assert printed.out.splitlines()[-1] == "  [0.98,1.00]  1"
 
 
 def test_recover_single_signal(tmp_path, capsys):
