@@ -9,7 +9,7 @@ from .dictionary import (Dictionary, expected_size, extended_dictionary,
                          oscillator_dictionary, split_oscillator)
 from .field import FpField, is_prime, prime_factors
 from .heisenberg import HeisenbergElement, h_mul, identity, omega, pi
-from .linalg import EigenDecomposition, eig_unitary, unitarity_defect
+from .linalg import unitarity_defect
 from .sl2 import (BruhatFactorization, SL2Element, TorusDescriptor, bruhat,
                   nonsplit_tori, sl2_elements, sl2_inv, sl2_mul, sl2_order,
                   sp_action, split_representatives)

@@ -8,8 +8,9 @@
   SL_2(F_p): the Weil translates rho(g) phi_chi of explicit character
   vectors, g running over the representative set R.
 * ``nonsplit_oscillator`` — one orthonormal basis per non-split torus;
-  the eigenbasis of rho(t0) for one reference generator t0 (its spectrum
-  must be simple or the build refuses), transported to every torus.
+  the eigenbasis of rho(t0) for one reference generator t0, built by the
+  character projectors of the cyclic group t0 generates (the build
+  refuses unless they find p simple lines), transported to every torus.
 * ``extended_dictionary`` — all Heisenberg translates pi(tau, w, 0) of an
   oscillator dictionary, p^2 copies grouped so each translated system
   stays orthonormal, each written in place from one column gather per
@@ -46,14 +47,16 @@ import numpy as np
 
 from .field import FpField
 from .heisenberg import shift_table
-from .linalg import (PIVOT_TIE_TOL, eig_unitary, phase_normalize_rows,
-                     phase_pivots)
+from .linalg import PIVOT_TIE_TOL, phase_normalize_rows, phase_pivots
 from .sl2 import _nonsplit_seeds, split_representatives, weyl_element
 from .weil import chirp_table, rho
 
 OSCILLATOR_KINDS = ("oscillator_split", "oscillator_nonsplit", "oscillator")
 _ORBIT_TOL = 1e-12  # largest orbit defect that counts as chirp orbits
 _CHECK_CELLS = 1 << 14  # entries per temporary of the orbit check: 256 KB
+# largest residual of rho(t0)^(p+1) against a scalar on a start vector, and
+# largest projection of one onto the character line absent from C^p
+_LINE_TOL = 1e-8
 # least distance, relative to the row maximum, of a base magnitude from the
 # phase-pivot tie threshold for the extended build to rotate the base's
 # pivots; it bounds the ~1e-16 relative rounding of a unimodular phase
@@ -285,20 +288,47 @@ def _split_family(field: FpField) -> tuple:
 def _nonsplit_family(field: FpField) -> tuple:
     """Reference and seeds of D_O^ns.
 
-    Every torus generator is conjugate to the reference generator t0 of
-    torus 0 (whose conjugator is the identity), so only rho(t0) is
-    eigendecomposed; its eigenspaces must be one-dimensional or the build
-    refuses.  Its eigenbasis, moved by rho(conjugator), is an eigenbasis
-    of each torus.
+    The reference is an eigenbasis of A = rho(t0) for the generator t0 of
+    torus 0, which rho(conjugator) moves to every torus.  t0^(p+1) = 1,
+    so A^(p+1) = lam I, and the projector onto eigenvalue mu zeta^j
+    (mu^(p+1) = lam, zeta = exp(2 pi i / (p+1))) is the character sum
+    sum_k (mu zeta^j)^-k A^k / (p+1): one FFT over the Krylov rows
+    mu^-k A^k e, k = 0..p, projects e = delta_0..delta_3 onto every line
+    (delta_0 alone misses the odd lines, rho(-I) being the parity).  Each
+    line keeps its largest projection, normalized, in eigen-angle order
+    (eigenvalue 1 first).  The build refuses unless A^(p+1) is scalar on
+    the start vectors and exactly one line, the character absent from the
+    Weil representation, projects below _LINE_TOL; A^(p+1) is then scalar
+    on the A-invariant Krylov space, so the p lines are eigenvectors with
+    distinct eigenvalues: a simple spectrum.
     """
     p = field.p
     t0, seeds = _nonsplit_seeds(field)
-    dec = eig_unitary(rho(t0))
-    if dec.multiplicities != [1] * p:
-        raise ValueError("unexpected degenerate spectrum: non-split "
-                         f"generator {t0} at p={p} has multiplicities "
-                         f"{dec.multiplicities}")
-    return dec.vectors().T, seeds
+    op = rho(t0)
+    krylov = np.empty((p + 2, len(op), 4), dtype=np.complex128)
+    krylov[0] = np.eye(len(op), 4)
+    for k in range(p + 1):
+        np.matmul(op, krylov[k], out=krylov[k + 1])
+    lam = np.mean(np.diagonal(krylov[-1]))
+    residual = np.linalg.norm(krylov[-1] - lam * krylov[0], axis=0)
+    if not residual.max() <= _LINE_TOL:
+        raise ValueError(f"non-split generator {t0} at p={p}: "
+                         "rho(t0)^(p+1) is not scalar")
+    mu = np.exp(1j * np.angle(lam) / (p + 1))
+    scale = mu ** -np.arange(p + 1)
+    proj = np.fft.fft(krylov[:-1] * scale[:, None, None], axis=0) / (p + 1)
+    norms = np.linalg.norm(proj, axis=1)  # (line, start vector)
+    lines = np.flatnonzero(norms.max(axis=1) >= _LINE_TOL)
+    if len(lines) != p:
+        raise ValueError(f"non-split generator {t0} at p={p}: "
+                         f"{p + 1 - len(lines)} of {p + 1} character lines "
+                         f"project below {_LINE_TOL}, not 1")
+    best = norms[lines].argmax(axis=1)
+    basis = proj[lines, :, best] / norms[lines, best][:, None]
+    # shift by 1e-8 so an eigenvalue 1 rounded to angle -1e-16 ranks first
+    angle = np.angle(mu * np.exp(2j * np.pi * lines / (p + 1)))
+    order = np.argsort((angle + 1e-8) % (2 * np.pi))
+    return phase_normalize_rows(basis[order]), seeds
 
 
 def split_oscillator(field: FpField) -> Dictionary:

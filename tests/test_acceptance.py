@@ -30,11 +30,11 @@ from oscdict.dictionary import (extended_dictionary, heisenberg_dictionary,
                                 split_oscillator, _standard_basis_matrix)
 from oscdict.field import FpField
 from oscdict.heisenberg import HeisenbergElement
-from oscdict.linalg import eig_unitary
 from oscdict.sl2 import bruhat, diagonal, sl2_elements, split_representatives
 from oscdict.sparse import recovery_experiment
 from oscdict.storage import ATOMS_NAME, MANIFEST_NAME, save_dictionary
 from oscdict.weil import egorov_defect, rho
+from schur_oracle import eig_unitary
 
 
 @pytest.fixture

@@ -367,7 +367,12 @@ def test_sampled_scans_frozen_across_chunks():
     r = shifted_coherence(u, mode="sampled", samples=10_001, seed=2)
     _assert_oracle_admits(r, vals[keys.index(r.argmax)], vals)
     assert r.max_coherence == pytest.approx(0.8356989742082698, abs=1e-15)
-    assert r.argmax == (105, 184, 3, 4)
+    # five draws tie within 1e-15 of the maximum, so which one the scan
+    # reports is decided by rounding: pin the tie set, not the pick
+    ties = {keys[k] for k in np.flatnonzero(vals >= vals.max() - 1e-15)}
+    assert ties == {(163, 80, 1, 5), (105, 184, 3, 4), (19, 253, 4, 0),
+                    (274, 59, 6, 5), (95, 240, 0, 5)}
+    assert r.argmax in ties
     assert r.pairs_evaluated == 10_001
     assert r.histogram_counts.tolist() == [
         44, 72, 111, 135, 201, 263, 243, 302, 381, 384, 351, 380, 459, 463,

@@ -17,10 +17,11 @@ from oscdict.dictionary import (Dictionary, expected_size,
                                 _standard_basis_matrix)
 from oscdict.field import FpField
 from oscdict.heisenberg import HeisenbergElement, pi
-from oscdict.linalg import (UNIT_NORM_TOL, eig_unitary, phase_normalize_rows,
-                            phase_pivots, phase_table)
+from oscdict.linalg import (UNIT_NORM_TOL, phase_normalize_rows, phase_pivots,
+                            phase_table)
 from oscdict.weil import rho
-from oscdict.sl2 import nonsplit_tori, split_representatives
+from oscdict.sl2 import _nonsplit_seeds, nonsplit_tori, split_representatives
+from schur_oracle import eig_unitary
 
 
 def scaling_op(field, a):
@@ -245,6 +246,63 @@ def test_nonsplit_atoms_are_generator_eigenvectors():
             lam = np.sum(W * B.conj(), axis=1)
             assert np.max(np.abs(np.abs(lam) - 1.0)) < 1e-10
             assert np.max(np.abs(W - lam[:, None] * B)) < 1e-10
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 19, 61, 127])
+def test_nonsplit_reference_matches_schur_oracle(p):
+    # the character-projector basis of rho(t0) against the Schur oracle:
+    # the same lines in the same order, and no less orthonormal
+    f = FpField(p)
+    t0, _ = _nonsplit_seeds(f)
+    B, _ = dictionary._nonsplit_family(f)
+    dec = eig_unitary(rho(t0))
+    O = dec.vectors().T
+    assert dec.multiplicities == [1] * p
+    assert np.max(np.abs(B - O)) <= 1e-13
+    # the p eigenvalues are distinct lines mu zeta^j of the p+1 the cyclic
+    # torus has, mu^(p+1) their common (p+1)-th power: exactly one is absent
+    lam = dec.eigenvalues ** (p + 1)
+    assert np.max(np.abs(lam - lam[0])) < 1e-12
+    mu = np.exp(1j * np.angle(lam[0]) / (p + 1))
+    j = np.angle(dec.eigenvalues / mu) * (p + 1) / (2 * np.pi)
+    assert np.max(np.abs(j - np.round(j))) < 1e-9
+    assert len(set(np.round(j).astype(int) % (p + 1))) == p
+    # the projection of delta_s onto line j has norm |O[j, s]|, so the
+    # weakest kept projection from delta_0..delta_3 is clear of the refusal
+    assert np.abs(O[:, :4]).max(axis=1).min() > dictionary._LINE_TOL
+
+    def defect(M):
+        return np.max(np.abs(M @ M.conj().T - np.eye(p)))
+
+    assert defect(B) <= 10 * defect(O)
+
+
+def test_nonsplit_build_refuses_without_p_simple_lines(monkeypatch):
+    p = 7
+    f = FpField(p)
+    zeta = np.exp(2j * np.pi * np.arange(p + 1) / (p + 1))
+    rng = np.random.default_rng(3)
+    q, _ = np.linalg.qr(rng.normal(size=(p, p)) + 1j * rng.normal(size=(p, p)))
+
+    def build(op):
+        monkeypatch.setattr(dictionary, "rho", lambda g: op)
+        return dictionary._nonsplit_family(f)[0]
+
+    # control: a generic unitary with p distinct lines builds its
+    # eigenvectors, the columns of q, in eigen-angle order
+    B = build(q @ np.diag(zeta[1:]) @ q.conj().T)
+    assert np.max(np.abs(B @ B.conj().T - np.eye(p))) < 1e-13
+    assert np.max(np.abs(np.abs(B @ q.conj()) ** 2 - np.eye(p))) < 1e-13
+    # its (p+1)-th power is not scalar
+    with pytest.raises(ValueError, match="not scalar"):
+        build(q @ np.diag(np.exp(1j * np.arange(p))) @ q.conj().T)
+    # a double eigenvalue: two lines are absent
+    with pytest.raises(ValueError, match="2 of 8 character lines"):
+        build(q @ np.diag(zeta[[0, 0, 1, 2, 3, 4, 5]]) @ q.conj().T)
+    # no line absent: on C^p one always is, so the cyclic shift of C^(p+1),
+    # whose spectrum is all p+1 lines, stands in
+    with pytest.raises(ValueError, match="0 of 8 character lines"):
+        build(np.roll(np.eye(p + 1, dtype=complex), 1, axis=0))
 
 
 def _concatenated_union(field):

@@ -1,10 +1,13 @@
 """Linear-algebra layer tests.
 
-The clustered unitary eigendecomposition is exercised against matrices
-whose spectra are known in closed form (diagonals, the identity, the
-finite Fourier matrix) plus a seeded random unitary for reconstruction.
+The test-only Schur oracle (tests/schur_oracle.py), the clustered unitary
+eigendecomposition the other tests compare closed-form bases against, is
+exercised against matrices whose spectra are known in closed form
+(diagonals, the identity, the finite Fourier matrix) plus a seeded random
+unitary for reconstruction.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -14,9 +17,9 @@ import numpy as np
 import pytest
 
 import oscdict
-from oscdict.linalg import (CLUSTER_TOL, EigenDecomposition, eig_unitary,
-                            is_unitary, phase_normalize_rows, phase_table,
-                            unitarity_defect)
+from oscdict.dictionary import BUILDERS
+from oscdict.linalg import phase_normalize_rows, phase_table, unitarity_defect
+from schur_oracle import CLUSTER_TOL, EigenDecomposition, eig_unitary
 
 
 def fourier_matrix(p):
@@ -59,9 +62,6 @@ def test_phase_table():
 
 def test_unitarity():
     assert unitarity_defect(np.eye(4, dtype=complex)) == 0.0
-    assert is_unitary(fourier_matrix(7))
-    assert not is_unitary(2 * np.eye(3, dtype=complex))
-    assert not is_unitary(np.ones((2, 3), dtype=complex))
     U = random_unitary(6, seed=1)
     assert unitarity_defect(U) < 1e-13
 
@@ -188,24 +188,24 @@ def test_cluster_tol_exported():
                       EigenDecomposition)
 
 
-def test_scipy_linalg_loads_on_the_first_eigensolve():
-    # only the non-split build eigensolves, so importing the package and
-    # building Heisenberg lines or split tori must not pay scipy's import
+def test_no_build_loads_scipy():
+    # the package has no eigensolver, so importing it and building every
+    # kind, the non-split and union families included, never loads scipy
     code = "\n".join((
-        "import sys",
+        "import json, sys",
         "import oscdict, oscdict.cli",
-        "from oscdict.dictionary import (heisenberg_dictionary,",
-        "    nonsplit_oscillator, split_oscillator)",
+        "from oscdict.dictionary import BUILDERS",
         "from oscdict.field import FpField",
-        "heisenberg_dictionary(FpField(11))",
-        "split_oscillator(FpField(11))",
-        "print('scipy.linalg' in sys.modules)",
-        "nonsplit_oscillator(FpField(11))",
-        "print('scipy.linalg' in sys.modules)",
+        "built = [d.kind for d in (b(FpField(7)) for b in BUILDERS.values())]",
+        "print(json.dumps([built, sorted(m for m in sys.modules",
+        "                  if m == 'scipy' or m.startswith('scipy.'))]))",
     ))
     src = str(Path(oscdict.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH")))))
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120)
-    assert out.stdout.split() == ["False", "True"]
+    built, loaded = json.loads(out.stdout)
+    assert built == list(BUILDERS)
+    assert {"oscillator_nonsplit", "oscillator"} <= set(built)
+    assert loaded == []
