@@ -7,6 +7,7 @@ exhaustive scans.
 """
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -293,18 +294,27 @@ def test_histogram_counts_equal_np_histogram_at_edges():
 
 
 def _split_draws(d, samples, seed):
-    """The (i, j) pairs the sampled coherence scan draws, in order."""
+    """The (i, j) pairs the sampled coherence scan draws, in order: passes
+    of min(remaining, 100_000) draws, i then j, each keeping its
+    cross-group pairs."""
     gids, n = d.group_ids, len(d)
     rng = np.random.default_rng(seed)
     pairs = []
     while len(pairs) < samples:
-        remaining = samples - len(pairs)
-        i = rng.integers(0, n, size=min(4 * remaining, 400_000))
-        j = rng.integers(0, n, size=i.size)
+        m = min(samples - len(pairs), 100_000)
+        i = rng.integers(0, n, size=m)
+        j = rng.integers(0, n, size=m)
         keep = gids[i] != gids[j]
-        take = min(remaining, 100_000)
-        pairs += zip(i[keep][:take].tolist(), j[keep][:take].tolist())
+        pairs += zip(i[keep].tolist(), j[keep].tolist())
     return pairs
+
+
+def _pair_oracle(d, keys):
+    """|<V[i], V[j]>| for each drawn (i, j): np.vdot per pair, then array
+    np.abs (Python abs on a complex128 scalar can differ from it in the
+    last ulp)."""
+    V = d.vectors
+    return np.abs(np.array([np.vdot(V[j], V[i]) for i, j in keys]))
 
 
 def _shift_draws(d, samples, seed):
@@ -315,6 +325,34 @@ def _shift_draws(d, samples, seed):
     v = rng.integers(1, p * p, size=samples)
     return list(zip(i.tolist(), j.tolist(), (v // p).tolist(),
                     (v % p).tolist()))
+
+
+def _shift_oracle(d, keys):
+    """|<V[i], pi(tau, w, 0) V[j]>| for each drawn (i, j, tau, w): entry t
+    of the moved row is psi(w (t + tau) - tau w / 2) V[j, t + tau], then
+    np.vdot per triple and array np.abs."""
+    V, p = d.vectors, d.prime
+    psi, t, half = phase_table(p), np.arange(p), FpField(p).half()
+    return np.abs(np.array([
+        np.vdot(V[j][(t + tau) % p]
+                * psi[(w * (t + tau) - half * tau * w) % p], V[i])
+        for i, j, tau, w in keys]))
+
+
+def _oracle_report(d, keys, vals, seed, shift_scan=False):
+    """The report of a sampled scan that drew keys and computed vals:
+    the first maximum in draw order, np.histogram's counts."""
+    edges = np.linspace(0.0, 1.0, 51)
+    p = d.prime
+    return CoherenceReport(
+        label="shifted-coherence" if shift_scan else "coherence", prime=p,
+        kind=d.kind,
+        bound=4.0 / np.sqrt(p) if shift_scan else dictionary_bound(d.kind, p),
+        max_coherence=float(vals.max()), min_coherence=float(vals.min()),
+        argmax=keys[int(np.argmax(vals))], mode="sampled", seed=seed,
+        pairs_evaluated=vals.size,
+        histogram_counts=np.histogram(np.clip(vals, 0.0, 1.0), edges)[0],
+        histogram_edges=edges, shift_scan=shift_scan).to_dict()
 
 
 def _assert_oracle_admits(report, at_argmax, vals):
@@ -339,33 +377,25 @@ def _assert_oracle_admits(report, at_argmax, vals):
 
 
 def test_sampled_scans_frozen_across_chunks():
-    # regression values of the one-gather scans these chunked scans
-    # replaced; 10_001 samples span several chunks and end on a partial
-    # one.  An oracle on the same draws (np.vdot per pair) checks the pins
+    # 10_001 samples span several chunks and end on a partial one.  Each
+    # scan equals the oracle on its draws exactly; the pins are frozen
+    # regression values of the draw rule
     d = split_oscillator(FpField(11))
     keys = _split_draws(d, 10_001, 2)
-    V = d.vectors
-    vals = np.array([abs(np.vdot(V[j], V[i])) for i, j in keys])
     r = coherence(d, mode="sampled", samples=10_001, seed=2)
-    _assert_oracle_admits(r, vals[keys.index(r.argmax)], vals)
-    assert r.max_coherence == pytest.approx(0.8753028244566725, abs=1e-15)
-    assert r.argmax == (513, 45)
+    assert r.to_dict() == _oracle_report(d, keys, _pair_oracle(d, keys), 2)
+    assert r.max_coherence == pytest.approx(0.8753028244566726, abs=1e-15)
+    assert r.argmax == (170, 152)
     assert r.pairs_evaluated == 10_001
     assert r.histogram_counts.tolist() == [
-        5019, 62, 38, 127, 53, 0, 394, 42, 0, 88, 83, 282, 156, 49, 131, 100,
-        279, 346, 0, 316, 373, 104, 176, 0, 209, 337, 303, 33, 71, 95, 103,
-        56, 423, 0, 0, 0, 0, 21, 72, 17, 23, 0, 0, 20, 0, 0, 0, 0, 0, 0]
+        4990, 38, 36, 134, 54, 0, 384, 45, 0, 84, 100, 271, 155, 43, 157, 122,
+        269, 343, 0, 352, 340, 99, 190, 0, 193, 357, 310, 36, 62, 88, 92, 63,
+        428, 0, 0, 0, 0, 16, 92, 16, 22, 0, 0, 20, 0, 0, 0, 0, 0, 0]
     u = oscillator_dictionary(FpField(7))
-    p, V = u.prime, u.vectors
     keys = _shift_draws(u, 10_001, 2)
-    psi, t, half = phase_table(p), np.arange(p), FpField(p).half()
-    # pi(tau, w, 0) psi_j, entry t: psi(w (t + tau) - tau w / 2) psi_j(t + tau)
-    vals = np.array([abs(np.vdot(V[j][(t + tau) % p]
-                                 * psi[(w * (t + tau) - half * tau * w) % p],
-                                 V[i]))
-                     for i, j, tau, w in keys])
+    vals = _shift_oracle(u, keys)
     r = shifted_coherence(u, mode="sampled", samples=10_001, seed=2)
-    _assert_oracle_admits(r, vals[keys.index(r.argmax)], vals)
+    assert r.to_dict() == _oracle_report(u, keys, vals, 2, shift_scan=True)
     assert r.max_coherence == pytest.approx(0.8356989742082698, abs=1e-15)
     # five draws tie within 1e-15 of the maximum, so which one the scan
     # reports is decided by rounding: pin the tie set, not the pick
@@ -379,6 +409,54 @@ def test_sampled_scans_frozen_across_chunks():
         455, 443, 446, 488, 451, 433, 461, 387, 346, 264, 311, 260, 237, 189,
         194, 149, 143, 112, 80, 82, 72, 84, 52, 25, 26, 4, 12, 6, 0, 0, 0, 0,
         0, 0, 0, 0]
+
+
+def _extended_union(field):
+    """The extended family over the oscillator union."""
+    return extended_dictionary(oscillator_dictionary(field))
+
+
+@pytest.mark.parametrize("builder, p", [
+    (split_oscillator, 11), (nonsplit_oscillator, 11),
+    (oscillator_dictionary, 7), (heisenberg_dictionary, 13),
+    (_extended_union, 5), (_union_with_tail, 7), (_damaged_union, 7)])
+def test_sampled_scans_equal_vdot_oracle(builder, p):
+    # the whole report on the same draws, bit for bit; 5_000 samples end
+    # on a partial chunk and gather, 100_100 run a second pass
+    d = builder(FpField(p))
+    g = d.group_ids
+    for samples in (5_000, 100_100):
+        keys = _split_draws(d, samples, 1)
+        i, j = np.array(keys).T
+        assert len(keys) == samples and np.all(g[i] != g[j])
+        r = coherence(d, mode="sampled", samples=samples, seed=1)
+        assert r.pairs_evaluated == samples
+        assert r.to_dict() == _oracle_report(d, keys, _pair_oracle(d, keys),
+                                             1)
+    keys = _shift_draws(d, 5_000, 1)
+    assert shifted_coherence(d, mode="sampled", samples=5_000,
+                             seed=1).to_dict() \
+        == _oracle_report(d, keys, _shift_oracle(d, keys), 1, shift_scan=True)
+
+
+def test_sampled_scan_memory_flat_in_samples():
+    # the gather buffers are allocated once per scan and each pass draws
+    # at most 100_000 pairs, so the traced peak does not grow with samples
+    d = heisenberg_dictionary(FpField(61))
+    coherence(d, mode="sampled", samples=1_000)  # first-use imports
+    peaks = []
+    for samples in (200_000, 1_000_000):
+        tracemalloc.start()
+        try:
+            coherence(d, mode="sampled", samples=samples)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= 8_000_000
+    # equal but for a few small Python objects: repeating one scan moves
+    # the peak by tens of bytes, while any array kept from pass to pass
+    # would add hundreds of kilobytes
+    assert abs(peaks[1] - peaks[0]) <= 1024
 
 
 def _shifted_scan_by_rows(d, samples, seed):
