@@ -35,8 +35,9 @@ from .sl2 import (bruhat, nonsplit_tori, sl2_elements, sl2_order,
                   split_representatives)
 from .sparse import (RecoveryError, omp, orbit_correlations,
                      recovery_experiment)
-from .storage import (CorruptDictionaryError, bundle_blob_size,
-                      load_dictionary, load_signal, save_dictionary)
+from .storage import (MAX_BUNDLE_BYTES, CorruptDictionaryError,
+                      dictionary_bytes, load_dictionary, load_signal,
+                      save_dictionary)
 from .weil import egorov_defect, rho
 
 EXIT_OK = 0
@@ -45,11 +46,6 @@ EXIT_BAD_INPUT = 2
 EXIT_IO = 3
 EXIT_CORRUPT = 4
 EXIT_RECOVERY = 5
-
-# largest atoms.bin that build will make; every build writes its atoms once
-# into one preallocated array, so it peaks near one bundle
-MAX_BUNDLE_BYTES = 2 << 30
-
 
 class BadInput(Exception):
     """A request that cannot be run as given (exit 2)."""
@@ -68,7 +64,9 @@ def _field(p: int, kind: str) -> FpField:
     """
     if p < 5:
         raise BadInput(f"prime must be at least 5, got {p}")
-    size = bundle_blob_size(expected_size(kind, p), p)
+    # every build writes its atoms once into one preallocated array, so
+    # it peaks near their size, which a load of the bundle allocates too
+    size = dictionary_bytes(expected_size(kind, p), p)
     if size > MAX_BUNDLE_BYTES:
         raise BadInput(f"p={p} needs {size / 2**30:.3g} GiB of {kind} "
                        f"atoms, over the {MAX_BUNDLE_BYTES / 2**30:.0f} "

@@ -21,8 +21,9 @@ each group by rho(g) for a conjugator g.  The exchange identity
 rho(g) pi(h) rho(g)^-1 = pi(g.h) and conjugacy of the tori make every
 transported vector an exact eigenvector of the target family, so one
 eigenbasis per family suffices.  Every family is listed orbit-major:
-only its seed groups are moved by rho, and ``_chirp_orbits`` spreads
-each over its orbit with the chirps M_x = rho(U(x)).  The Heisenberg
+only its seed groups are moved by rho, and ``chirp_orbit`` spreads each
+over its orbit with the chirps M_x = rho(U(x)); a bundle stores only the
+seed rows, and its loader runs the same ``chirp_orbit``.  The Heisenberg
 lines are one orbit, the characters rho(w) delta spread over the lines
 (1, x), followed by the one line U(x) fixes, the deltas, as a tail
 group.  Member order within a group is the reference order: the psi(m)
@@ -33,7 +34,7 @@ non-split tori.
 Every build writes its atoms once, atom-major, into one complex array
 sized up front (the union runs both families through one
 ``_chirp_orbits`` call, the extended family computes each shift in its
-own slice with O(n p) scratch in all), so it peaks near one bundle.
+own slice with O(n p) scratch in all), so it peaks near its atoms.
 Every atom is unit norm and phase-normalized (its first largest-magnitude
 entry is real positive), and all orderings (groups, members, shifts) are
 fixed, so builds are bit-reproducible.
@@ -53,7 +54,9 @@ from .weil import chirp_table, rho
 
 OSCILLATOR_KINDS = ("oscillator_split", "oscillator_nonsplit", "oscillator")
 _ORBIT_TOL = 1e-12  # largest orbit defect that counts as chirp orbits
-_CHECK_CELLS = 1 << 14  # entries per temporary of the orbit check: 256 KB
+# entries per temporary of the orbit check and per block of chirp_orbit:
+# 256 KB
+_CHECK_CELLS = 1 << 14
 # largest residual of rho(t0)^(p+1) against a scalar on a start vector, and
 # largest projection of one onto the character line absent from C^p
 _LINE_TOL = 1e-8
@@ -154,36 +157,51 @@ def expected_size(kind: str, p: int) -> int:
     }[kind]
 
 
-def _orbit_defect(dictionary) -> float | None:
-    """How far the atoms are from chirp orbits, or None when they are not.
+def orbit_layout(dictionary) -> tuple | None:
+    """(field, sizes) when the group sizes allow chirp orbits, else None.
 
     Chirp orbits: the groups j*p + x, x = 0..p-1, form orbit j; they are
     equally large and nonempty, and row r of group (j, x) is a unimodular
     phase times chirp_x * (row r of group (j, 0)), where chirp_x[t] =
     psi(-(x/2) t^2).  The first n_groups - n_groups mod p groups must be
     orbits, at least one; the rest, fewer than p groups, are the tail,
-    which readers take densely.  The defect is the largest residual norm
-    of that fit over all orbit atoms; above _ORBIT_TOL the layout counts
-    as no orbit.  The group sizes are checked first, so most other
-    layouts are refused without reading an atom.
+    which readers take densely.  sizes holds the group size of each orbit.
+    Only the group offsets are read, no atom.
     """
     p = dictionary.prime
-    V = dictionary.vectors
     sizes = np.diff(dictionary._starts)
     sizes = sizes[:sizes.size - sizes.size % p]  # the tail is not checked
-    if V.shape[1] != p or dictionary._starts[0] or not sizes.size \
-            or sizes.min() == 0 \
+    if dictionary.vectors.shape[1] != p or dictionary._starts[0] \
+            or not sizes.size or sizes.min() == 0 \
             or np.any(sizes.reshape(-1, p) != sizes[::p, None]):
         return None
     try:
         field = FpField(p)
     except ValueError:  # a hand-made layout over no field F_p has no chirps
         return None
+    return field, sizes[::p]
+
+
+def _orbit_defect(dictionary) -> float | None:
+    """How far the atoms are from chirp orbits (see ``orbit_layout``), or
+    None when they are not.
+
+    The defect is the largest residual norm of the chirp-orbit fit over
+    all orbit atoms; above _ORBIT_TOL the layout counts as no orbit.  The
+    group sizes are checked first, so most other layouts are refused
+    without reading an atom.
+    """
+    layout = orbit_layout(dictionary)
+    if layout is None:
+        return None
+    field, sizes = layout
+    p = field.p
+    V = dictionary.vectors
     t = np.arange(p)
     unchirp = chirp_table(field)[:, t * t % p].conj()[:, None, :]
     starts = dictionary._starts[::p]
     worst = 0.0
-    for lo, hi, m in zip(starts[:-1], starts[1:], sizes[::p]):
+    for lo, hi, m in zip(starts[:-1], starts[1:], sizes):
         orbit = V[lo:hi].reshape(p, m, p)
         seed = orbit[0] * unchirp[0]
         # a few groups at a time, so no temporary is larger than
@@ -201,6 +219,31 @@ def _orbit_defect(dictionary) -> float | None:
     return worst
 
 
+def chirp_orbit(seed: np.ndarray, chirp: np.ndarray,
+                out: np.ndarray) -> None:
+    """Write the chirp orbit of seed rows into out, shaped (p, m, p).
+
+    out[x] holds the rows of seed times the chirp M_x.  A chirp leaves
+    magnitudes alone, so seed row r keeps its phase pivot k_r across the
+    orbit, and only the chirp phase there is divided out: entry t of
+    out[x, r] is seed[r, t] psi(-(x/2)(t^2 - k_r^2)), the entry
+    (t^2 - k_r^2) of row x of chirp = chirp_table(field).  The chirps go
+    a block at a time, one take of the table's rows and one product with
+    seed per block of about _CHECK_CELLS entries, so the product reads
+    what the take wrote from cache.  The build and the bundle loader
+    both write their atoms here, so an orbit regenerated from its group
+    (j, 0) rows is the built one bit for bit.
+    """
+    m, p = seed.shape
+    t2 = np.arange(p) ** 2 % p
+    s = (t2[None, :] - t2[phase_pivots(seed)][:, None]) % p
+    step = max(1, _CHECK_CELLS // (m * p))
+    for x in range(0, p, step):
+        block = out[x:x + step]
+        np.take(chirp[x:x + step], s, axis=1, out=block, mode="clip")
+        block *= seed
+
+
 def _chirp_orbits(kind: str, field: FpField, families,
                   tail=()) -> Dictionary:
     """Each (reference, seeds) family's orbit groups in turn, in one array,
@@ -208,15 +251,10 @@ def _chirp_orbits(kind: str, field: FpField, families,
 
     Group j*p + x of a family holds the rows of its reference moved by
     rho(U(x) g_j), for the seed conjugators g_j.  rho(U(x) g) =
-    M_x rho(g), so each seed group is transported once and then
-    multiplied by the p chirps.  A chirp leaves magnitudes alone, so
-    seed row r keeps its phase pivot k_r across the orbit, and only the
-    chirp phase there is divided out: atom entry t is
-    seed[r, t] psi(-(x/2)(t^2 - k_r^2)).
+    M_x rho(g), so each seed group is transported once and then spread
+    over its orbit by ``chirp_orbit``.
     """
     p = field.p
-    t = np.arange(p)
-    t2 = t * t % p
     chirp = chirp_table(field)
     n = len(tail) + sum(len(seeds) * p * len(reference)
                         for reference, seeds in families)
@@ -229,11 +267,8 @@ def _chirp_orbits(kind: str, field: FpField, families,
         hi = lo + len(seeds) * p * m
         out = vectors[lo:hi].reshape(len(seeds), p, m, p)
         for block, g in zip(out, seeds):
-            seed = phase_normalize_rows(reference @ rho(g).T)
-            s = (t2[None, :] - t2[phase_pivots(seed)][:, None]) % p
-            for x, atoms in enumerate(block):
-                np.take(chirp[x], s, out=atoms, mode="clip")
-                atoms *= seed
+            chirp_orbit(phase_normalize_rows(reference @ rho(g).T), chirp,
+                        block)
         group_ids[lo:hi], member_ids[lo:hi] = np.divmod(np.arange(hi - lo), m)
         group_ids[lo:hi] += first_group
         lo, first_group = hi, first_group + len(seeds) * p
