@@ -14,9 +14,10 @@ computes one magnitude per p pairs among the orbits, from the seed rows
 alone, and reads the tail (the fewer than p groups after the orbits:
 the Heisenberg deltas) densely, one magnitude per pair; any other
 exhaustive scan forms the upper half of the Gram matrix, one row block
-at a time.  The orbit check is
-``Dictionary.orbit_defect``, run once per dictionary and shared with
-OMP.
+at a time.  The orbit defect is ``Dictionary.orbit_defect``, shared
+with OMP: builds and loads set it by construction, from the rounding of
+``dictionary.chirp_orbit``, which wrote their orbits; only a hand-made
+or all-tail dictionary checks its atoms for it, once.
 
 A sampled scan draws passes of min(remaining, _SAMPLE_PASS) pairs, i
 then j, and keeps every cross-group one, so it evaluates exactly

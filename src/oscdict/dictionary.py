@@ -23,7 +23,9 @@ transported vector an exact eigenvector of the target family, so one
 eigenbasis per family suffices.  Every family is listed orbit-major:
 only its seed groups are moved by rho, and ``chirp_orbit`` spreads each
 over its orbit with the chirps M_x = rho(U(x)); a bundle stores only the
-seed rows, and its loader runs the same ``chirp_orbit``.  The Heisenberg
+seed rows, and its loader runs the same ``chirp_orbit``.  Both mark
+their dictionaries (``mark_chirp_orbits``), whose orbit defect is then
+that function's rounding bound, not a check of the atoms.  The Heisenberg
 lines are one orbit, the characters rho(w) delta spread over the lines
 (1, x), followed by the one line U(x) fixes, the deltas, as a tail
 group.  Member order within a group is the reference order: the psi(m)
@@ -42,18 +44,20 @@ fixed, so builds are bit-reproducible.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
 from .field import FpField
 from .heisenberg import shift_table
-from .linalg import PIVOT_TIE_TOL, phase_normalize_rows, phase_pivots
+from .linalg import (PIVOT_TIE_TOL, phase_normalize_rows, phase_pivots,
+                     phase_table)
 from .sl2 import _nonsplit_seeds, split_representatives, weyl_element
 from .weil import chirp_table, rho
 
 OSCILLATOR_KINDS = ("oscillator_split", "oscillator_nonsplit", "oscillator")
 _ORBIT_TOL = 1e-12  # largest orbit defect that counts as chirp orbits
+_U = 2.0 ** -53  # unit roundoff of float64
 # entries per temporary of the orbit check and per block of chirp_orbit:
 # 256 KB
 _CHECK_CELLS = 1 << 14
@@ -107,10 +111,23 @@ class Dictionary:
     def group_matrix(self, g: int) -> np.ndarray:
         return self.vectors[self.group_slice(g)]
 
+    # set by mark_chirp_orbits: chirp_orbit wrote every orbit
+    _orbits_written = False
+
     @cached_property
     def orbit_defect(self) -> float | None:
-        """How far the atoms are from chirp orbits, or None when they are
-        not; see ``_orbit_defect``.  The exhaustive scan and OMP read it."""
+        """A bound on how far the atoms are from chirp orbits, or None
+        when they are not; computed once, on first use.  The exhaustive
+        scan and OMP read it.
+
+        The builders and the bundle loader write every orbit with
+        ``chirp_orbit`` (``mark_chirp_orbits``), so theirs is that
+        function's rounding bound (``_written_defect``), read off the
+        seed rows alone.  Any other dictionary (hand-made, or a bundle
+        stored all-tail) measures it on the atoms with ``_orbit_defect``.
+        """
+        if self._orbits_written:
+            return _written_defect(self)
         return _orbit_defect(self)
 
     @cached_property
@@ -119,9 +136,10 @@ class Dictionary:
 
         Returns (runs, end, norm): one (lo, hi, seeds) per run of
         consecutive orbits with equally large groups, where atoms lo:hi
-        are the run and seeds is its (orbits, m, p) view of the rows of
-        each orbit's group (j, 0); the first atom of the tail (len(self)
-        when there is none); and the largest norm of a seed or tail row.
+        are the run and seeds is a read-only C-contiguous (orbits, m, p)
+        copy of the rows of each orbit's group (j, 0), 1/p of the run's
+        atoms; the first atom of the tail (len(self) when there is
+        none); and the largest norm of a seed or tail row.
         """
         if self.orbit_defect is None:
             return None
@@ -130,8 +148,8 @@ class Dictionary:
         sizes = np.diff(starts) // p
         cuts = [0, *(np.flatnonzero(np.diff(sizes)) + 1), len(sizes)]
         runs = [(int(starts[a]), int(starts[b]),
-                 self.vectors[starts[a]:starts[b]]
-                 .reshape(b - a, p, sizes[a], p)[:, 0])
+                 _read_only(self.vectors[starts[a]:starts[b]]
+                            .reshape(b - a, p, sizes[a], p)[:, 0]))
                 for a, b in zip(cuts[:-1], cuts[1:])]
         end = int(starts[-1])
         rows = [seeds for _, _, seeds in runs] + [self.vectors[end:]]
@@ -142,6 +160,13 @@ class Dictionary:
     def __repr__(self):
         return (f"Dictionary(kind={self.kind!r}, p={self.prime}, "
                 f"atoms={len(self)}, groups={self.n_groups})")
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """A C-contiguous copy of a that cannot be written."""
+    a = np.ascontiguousarray(a)
+    a.setflags(write=False)
+    return a
 
 
 def expected_size(kind: str, p: int) -> int:
@@ -244,6 +269,57 @@ def chirp_orbit(seed: np.ndarray, chirp: np.ndarray,
         block *= seed
 
 
+@cache
+def _phase_defect(p: int) -> float:
+    """A bound on max over a, b of |P[a - b] - P[a] conj(P[b])|, P =
+    phase_table(p): how far the rounded roots of unity are from a group.
+
+    The maximum is taken in floating point over all p^2 pairs.  The
+    product P[a] conj(P[b]) rounds by at most sqrt(2) gamma_2 |P|^2 <
+    3u (Higham, Lemma 3.5; |P| <= 1 + 2u), and the difference and its
+    modulus by a relative 2u, so the measured maximum m gives the bound
+    (1 + 4u) m + 3u, with u = 2^-53.
+    """
+    P = phase_table(p)
+    k = np.subtract.outer(np.arange(p), np.arange(p)) % p
+    m = float(np.abs(P[k] - np.multiply.outer(P, P.conj())).max())
+    return (1 + 4 * _U) * m + 3 * _U
+
+
+def mark_chirp_orbits(d: Dictionary) -> Dictionary:
+    """Record that ``chirp_orbit`` wrote every orbit of d from its group
+    (j, 0) rows, so its orbit defect is the rounding bound of that
+    function instead of a check of the atoms.  Returns d."""
+    d._orbits_written = True
+    return d
+
+
+def _written_defect(d: Dictionary) -> float | None:
+    """The orbit defect of a d whose orbits ``chirp_orbit`` wrote.
+
+    Entry t of row r of group (j, x) is fl(P[a - b] s[t]), where s is
+    the seed row, a = -(x/2) t^2 and b = -(x/2) k_r^2 (mod p) index P =
+    phase_table(p) exactly, and the orbit relation asks for
+    chirp_x[t^2] conj(chirp_x[k_r^2]) s[t] = P[a] conj(P[b]) s[t].  The
+    complex product rounds by at most sqrt(2) gamma_2 |P| |s[t]| < 3u
+    |s[t]| (Higham, Lemma 3.5), and P[a - b] differs from P[a] conj(P[b])
+    by at most the phase defect delta_P (``_phase_defect``), so every row
+    is within (3u + delta_P) ||s|| of the orbit, and ||s|| is at most
+    the largest computed seed-row norm times 1 + (p + 1) u.  This bound,
+    about 1e-15 for unit seeds, stands in for the measured
+    ``_orbit_defect``; one above _ORBIT_TOL (seeds that are not finite,
+    or so large that rounding alone passes the tolerance) leaves the
+    decision to the measured check.
+    """
+    p = d.prime
+    _, sizes = orbit_layout(d)
+    seeds = (d.vectors[lo:lo + m]
+             for lo, m in zip(d._starts[::p].tolist(), sizes.tolist()))
+    norm = max(float(np.vecdot(s, s).real.max()) for s in seeds) ** 0.5
+    bound = (3 * _U + _phase_defect(p)) * (1 + (p + 1) * _U) * norm
+    return bound if bound <= _ORBIT_TOL else _orbit_defect(d)
+
+
 def _chirp_orbits(kind: str, field: FpField, families,
                   tail=()) -> Dictionary:
     """Each (reference, seeds) family's orbit groups in turn, in one array,
@@ -276,7 +352,8 @@ def _chirp_orbits(kind: str, field: FpField, families,
         vectors[lo:] = tail
         group_ids[lo:] = first_group
         member_ids[lo:] = np.arange(n - lo)
-    return Dictionary(kind, p, vectors, group_ids, member_ids)
+    return mark_chirp_orbits(Dictionary(kind, p, vectors, group_ids,
+                                        member_ids))
 
 
 def heisenberg_dictionary(field: FpField) -> Dictionary:

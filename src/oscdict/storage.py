@@ -25,8 +25,9 @@ other dictionary is stored as tail rows alone.  A load checks every
 header and layout field against the file length and MAX_BUNDLE_BYTES
 before it allocates, reads the file straight into the arrays it returns
 while it digests it, and regenerates the orbits with the same
-``chirp_orbit``.  All writes are atomic (temp file + rename) and copy no
-array.
+``chirp_orbit``, so it knows them for orbits without checking the
+atoms (``dictionary.mark_chirp_orbits``).  All writes are atomic (temp
+file + rename) and copy no array.
 """
 
 from __future__ import annotations
@@ -40,7 +41,8 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .dictionary import Dictionary, chirp_orbit, orbit_layout
+from .dictionary import (Dictionary, chirp_orbit, mark_chirp_orbits,
+                         orbit_layout)
 from .field import FpField
 from .weil import chirp_table
 
@@ -201,7 +203,8 @@ def load_dictionary(in_dir: str) -> Dictionary:
     checked against the file length before any array is allocated.  The
     tail rows and the provenance are read straight into the returned
     arrays, which are writable, and each orbit is regenerated from its
-    seed rows.
+    seed rows, so its orbit defect is the rounding bound of
+    ``chirp_orbit``; an all-tail bundle measures it on first use.
     """
     try:
         return _load_bundle(in_dir)
@@ -258,10 +261,12 @@ def _load_bundle(in_dir: str) -> Dictionary:
                    ids[2 * n:].reshape(n, 2))
     if d.n_groups != group_count:
         raise CorruptDictionaryError("manifest group count mismatch")
+    if not len(sizes):
+        return d
     layout = orbit_layout(d)
-    if len(sizes) and (layout is None or not np.array_equal(layout[1], sizes)):
+    if layout is None or not np.array_equal(layout[1], sizes):
         raise CorruptDictionaryError("group ids disagree with orbit layout")
-    return d
+    return mark_chirp_orbits(d)
 
 
 def _read_into(fh, digest, array: np.ndarray) -> np.ndarray:

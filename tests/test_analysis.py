@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from oscdict import analysis
+from oscdict import dictionary as dictionary_module
 from oscdict.analysis import (CoherenceReport, _ScanAccumulator, coherence,
                               dictionary_bound, shifted_coherence,
                               verify_orthonormal)
@@ -22,6 +23,7 @@ from oscdict.dictionary import (Dictionary, extended_dictionary,
 from oscdict.field import FpField
 from oscdict.heisenberg import HeisenbergElement, pi, shift_table
 from oscdict.linalg import phase_table
+from oscdict.sparse import omp
 from oscdict.storage import load_dictionary, save_dictionary
 
 
@@ -260,6 +262,60 @@ def test_orbit_structure_detection(tmp_path):
               extended_dictionary(oscillator_dictionary(f)), no_field):
         assert d.orbit_defect is None
     assert coherence(no_field, mode="exhaustive").max_coherence == 0.0
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 17, 19, 23, 29, 31, 37])
+@pytest.mark.parametrize("builder", _ORBIT_BUILDERS)
+def test_orbit_bound_covers_the_measured_defect(builder, p, tmp_path):
+    # builds and loads take the rounding bound of chirp_orbit for their
+    # orbit defect; the measured check stays the oracle it must cover
+    d = builder(FpField(p))
+    save_dictionary(d, str(tmp_path / "d"))
+    loaded = load_dictionary(str(tmp_path / "d"))
+    assert loaded.orbit_defect == d.orbit_defect
+    assert dictionary_module._orbit_defect(d) <= d.orbit_defect < 1e-14
+
+
+def _count_orbit_checks(monkeypatch) -> list:
+    """Patch the measured orbit check to log each dictionary it reads."""
+    runs = []
+    check = dictionary_module._orbit_defect
+
+    def counted(d):
+        runs.append(d)
+        return check(d)
+
+    monkeypatch.setattr(dictionary_module, "_orbit_defect", counted)
+    return runs
+
+
+def test_built_and_loaded_orbits_skip_the_check(monkeypatch, tmp_path):
+    runs = _count_orbit_checks(monkeypatch)
+    f = FpField(7)
+    for builder in _ORBIT_BUILDERS:
+        d = builder(f)
+        save_dictionary(d, str(tmp_path / builder.__name__))
+        for x in (d, load_dictionary(str(tmp_path / builder.__name__))):
+            coherence(x, mode="exhaustive")
+            omp(x, x.vectors[3] + 0.5 * x.vectors[-1], max_support=2)
+            assert x.orbit_defect is not None
+    with_tail = _union_with_tail(f)
+    save_dictionary(with_tail, str(tmp_path / "tail"))
+    assert load_dictionary(str(tmp_path / "tail")).orbit_defect is not None
+    assert runs == []
+
+
+def test_hand_made_and_all_tail_layouts_run_the_check(monkeypatch,
+                                                      tmp_path):
+    runs = _count_orbit_checks(monkeypatch)
+    f = FpField(7)
+    with_tail = _union_with_tail(f)
+    assert with_tail.orbit_defect is not None
+    assert runs == [with_tail]
+    save_dictionary(_damaged_union(f), str(tmp_path / "damaged"))
+    damaged = load_dictionary(str(tmp_path / "damaged"))
+    assert damaged.orbit_defect is None
+    assert runs == [with_tail, damaged]
 
 
 def test_auto_mode_counts_computed_magnitudes(monkeypatch):

@@ -21,10 +21,11 @@ from oscdict.dictionary import (Dictionary, extended_dictionary,
                                 oscillator_dictionary, split_oscillator)
 from oscdict.field import FpField
 from oscdict.sparse import (RecoveryError, RecoveryReport,
-                            SparseRepresentation, _least_squares, omp,
-                            orbit_correlations, recovery_experiment,
+                            SparseRepresentation, _best_atom, _least_squares,
+                            omp, orbit_correlations, recovery_experiment,
                             synthesize)
 from oscdict.storage import load_dictionary, save_dictionary
+from test_analysis import _union_with_tail
 
 
 def test_synthesize():
@@ -313,6 +314,8 @@ def test_non_orbit_layouts_take_the_dense_path():
 
 
 def test_orbit_check_runs_once_per_dictionary(monkeypatch):
+    # a hand-made dictionary over built arrays measures its orbit defect,
+    # once, however many scans and OMP runs read it
     runs = []
     check = dictionary_module._orbit_defect
 
@@ -321,10 +324,69 @@ def test_orbit_check_runs_once_per_dictionary(monkeypatch):
         return check(d)
 
     monkeypatch.setattr(dictionary_module, "_orbit_defect", counted)
-    d = oscillator_dictionary(FpField(7))
+    built = oscillator_dictionary(FpField(7))
+    assert runs == []
+    d = Dictionary(built.kind, built.prime, built.vectors, built.group_ids,
+                   built.member_ids)
     coherence(d, mode="exhaustive")
     rng = np.random.default_rng(0)
     for _ in range(10):
         omp(d, rng.normal(size=7) + 1j * rng.normal(size=7), max_support=3)
     recovery_experiment(d, 2, 10)
     assert runs == [d]
+    assert d.orbit_defect == check(built) <= built.orbit_defect
+
+
+_AT_SCALE = {
+    "split37": lambda: _built(split_oscillator, 37),
+    # two runs of orbits, of 17 and 19 atoms a group
+    "union19": lambda: _built(oscillator_dictionary, 19),
+    "union_with_tail11": lambda: _union_with_tail(FpField(11)),
+}
+
+
+@pytest.mark.parametrize("name", _AT_SCALE)
+def test_orbit_omp_matches_dense_at_scale(name):
+    d = _AT_SCALE[name]()
+    n, p = d.vectors.shape
+    rng = np.random.default_rng(n)
+    for _ in range(12):
+        # the second step must mask the first pick, mapped into the
+        # orbit order of the correlations
+        i, j = rng.choice(n, size=2, replace=False)
+        f = d.vectors[i] + 0.9 * d.vectors[j]
+        _assert_same(omp(d, f, max_support=2), _dense_omp(d, f, 2))
+    for k in (1, 3):
+        for _ in range(4):
+            support = rng.choice(n, size=k, replace=False)
+            f = synthesize(d, support, np.exp(2j * np.pi * rng.random(k)))
+            _assert_same(omp(d, f, max_support=k), _dense_omp(d, f, k))
+        f = rng.normal(size=p) + 1j * rng.normal(size=p)
+        _assert_same(omp(d, f, max_support=k), _dense_omp(d, f, k))
+
+
+@pytest.mark.parametrize("name", _AT_SCALE)
+def test_orbit_step_masks_the_support(name):
+    # the dense maximum and then a random atom masked: the orbit step
+    # must pick what |V r*| picks off that support
+    d = _AT_SCALE[name]()
+    n, p = d.vectors.shape
+    rng = np.random.default_rng(p)
+    for _ in range(10):
+        r = rng.normal(size=p) + 1j * rng.normal(size=p)
+        dense = np.abs(d.vectors @ r.conj())
+        support = [int(np.argmax(dense)), int(rng.integers(n))]
+        dense[support] = 0.0
+        got = _best_atom(d, r, np.linalg.norm(r), support, 1e-14)
+        assert got == int(np.argmax(dense))
+
+
+def test_orbit_correlations_match_dense_at_p37():
+    # the atom order of orbit_correlations is a reordering of the OMP
+    # step's product, at the size that step is for
+    d = _built(split_oscillator, 37)
+    rng = np.random.default_rng(37)
+    r = rng.normal(size=37) + 1j * rng.normal(size=37)
+    corr = orbit_correlations(d, r)
+    assert np.max(np.abs(corr - np.abs(d.vectors @ r.conj()))) \
+        <= 1e-14 * np.linalg.norm(r)

@@ -84,7 +84,7 @@ def test_chirp_op():
 
 
 def test_chirp_table_is_shared_and_read_only():
-    # rho, the builders, the orbit check and OMP's fold table all read one
+    # rho, the builders, the orbit check and OMP's chirp columns all read one
     # cached table per field, so no caller may write to it
     for p in (5, 7, 11, 13):
         f = FpField(p)
