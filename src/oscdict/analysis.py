@@ -21,20 +21,47 @@ or all-tail dictionary checks its atoms for it, once.
 
 A sampled scan draws passes of min(remaining, _SAMPLE_PASS) pairs, i
 then j, and keeps every cross-group one, so it evaluates exactly
-``samples`` pairs.  It gathers their rows _GATHER_ROWS at a time into two
-C-contiguous buffers made once per scan, so its memory does not grow
-with ``samples``, and each magnitude is one BLAS zdotc (``np.vecdot``),
+``samples`` pairs.  Each magnitude is one BLAS zdotc (``np.vecdot``),
 the call ``np.vdot`` makes: the report equals that of
 np.abs(np.vdot(V[j], V[i])) on the same draws bit for bit.  Sampled
 coherence reports of earlier oscdict versions, which drew up to 4x the
 pairs they kept, do not reproduce for the same seed.  The sampled
-shifted scan gathers its translated rows through the cached
-``heisenberg.shift_table`` into buffers reused across chunks, and takes
-its magnitudes the same way.
+shifted scan draws (i, j, v) triples in passes of _SHIFT_PASS and
+gathers its translated rows through the cached
+``heisenberg.shift_table``, taking its magnitudes the same way.
+
+Both sampled scans run each pass on W workers, W = min(usable cores,
+pass draws / _PAIR_CHUNK, _GATHER_BUDGET / _GATHER_BYTES), where the
+usable cores are ``os.sched_getaffinity(0)``, so ``taskset`` bounds W;
+there is no other knob.  The calling thread draws a pass with the one
+generator.  Then, _SPAN draws at a time, it and W - 1 threads started
+for the span claim blocks of draws in order, each as soon as it is free,
+gather the block's rows into the worker's own C-contiguous buffers and
+write its magnitudes into one span-long array; once all have stopped,
+the calling thread feeds the span to the accumulator in draw order.  So
+max, argmax (the first maximum in draw order), min, counts and histogram
+are the same at every W, bit for bit; W = 1 starts no thread, and no
+thread outlives its span.  The workers share _GATHER_BUDGET bytes of
+buffers, at most _GATHER_BYTES each, made once per scan by the calling
+thread, so memory grows neither with W nor with ``samples``.  The
+gathers and the dots release the GIL, but a block takes the GIL back
+between its numpy calls, so the blocks must be large: with two workers,
+a Heisenberg p=61 scan of 200,000 samples took 26 ms with 0.5 MiB per
+buffer, 46 ms with half of that and 68 ms with a quarter, against
+37-41 ms for one worker.  More workers would need more memory, so W
+stops at two.  Claiming blocks as they come free, rather than cutting
+fixed shards, keeps the calling thread busy to the end of each span.  On
+a 2-vCPU VM a core left idle for even 1 ms ran the next 45 ms of OMP
+solves 5-8% slower, and with fixed shards the calling thread waited for
+the other one: the benchmark's OMP tail after the scan rose 6-10%.  Exhaustive
+scans stay on the calling thread: their BLAS-3 blocks use BLAS's own
+threads, which a pool would oversubscribe.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -48,8 +75,11 @@ HISTOGRAM_BINS = 50
 _BLOCK_ROWS = 256
 _BLOCK_CELLS = 1 << 20  # magnitudes per block of the orbit scan: 16 MB
 _SAMPLE_PASS = 100_000  # pairs drawn per pass of a sampled scan
+_SHIFT_PASS = 200_000  # triples drawn per pass of a sampled shifted scan
+_SPAN = 1 << 16  # sampled draws whose magnitudes are held at once
 _PAIR_CHUNK = 4096  # sampled magnitudes per accumulator feed
-_GATHER_ROWS = 512  # rows per sampled gather: 0.5 MB per buffer at p = 61
+_GATHER_BYTES = 1 << 20  # gather buffers of one sampled-scan worker, at most
+_GATHER_BUDGET = 1 << 21  # gather buffers of all of a scan's workers
 _CELLS = 4096  # histogram cells; a power of two, so value * _CELLS is exact
 
 
@@ -125,7 +155,7 @@ class _ScanAccumulator:
             return
         self.count += weight * values.size
         self.counts += weight * _bin_counts(values)
-        k = int(np.argmax(values))
+        k = int(values.argmax())
         if values[k] > self.max:
             self.max = float(values[k])
             self.argmax = argmax_of(k) if argmax_of else ()
@@ -336,18 +366,47 @@ def _coherence_sampled(dictionary, samples: int, seed: int
     n, p = V.shape
     rng = np.random.default_rng(seed)
     acc = _ScanAccumulator()
-    # C-contiguous, so _pair_magnitudes runs one BLAS zdotc per row
-    left = np.empty((_GATHER_ROWS, p), dtype=np.complex128)
-    right = np.empty_like(left)
-    mags = np.empty(_PAIR_CHUNK)
-    remaining = samples
-    while remaining > 0:
-        m = min(remaining, _SAMPLE_PASS)
+    workers = _worker_count(min(samples, _SAMPLE_PASS))
+    rows = _gather_rows(2 * 16 * p, workers)  # two complex rows per draw
+    # per worker; C-contiguous, so _pair_magnitudes runs one BLAS zdotc
+    # per row
+    buffers = [(np.empty((rows, p), dtype=np.complex128),
+                np.empty((rows, p), dtype=np.complex128),
+                np.empty(rows, dtype=np.complex128))
+               for _ in range(workers)]
+
+    def gather(k, lo, hi, i, j, mags):
+        phi, psi, dots = (buf[:hi - lo] for buf in buffers[k])
+        # every index is in range, and "clip" lets np.take write into
+        # the buffers without a copy
+        V.take(i[lo:hi], 0, out=phi, mode="clip")
+        V.take(j[lo:hi], 0, out=psi, mode="clip")
+        _pair_magnitudes(phi, psi, out=mags[lo:hi], dots=dots)
+
+    def scan_pass(m):
+        # a function of its own, so one pass's arrays are freed before
+        # the next pass draws
         i = rng.integers(0, n, size=m)
         j = rng.integers(0, n, size=m)
-        keep = gids[i] != gids[j]
-        _feed_pairs(acc, V, i[keep], j[keep], left, right, mags)
-        remaining -= int(np.count_nonzero(keep))
+        # keep the cross-group pairs in place, a chunk at a time, so the
+        # pass holds no pass-long array but i and j
+        kept = 0
+        for lo in range(0, m, _PAIR_CHUNK):
+            ci, cj = i[lo:lo + _PAIR_CHUNK], j[lo:lo + _PAIR_CHUNK]
+            keep = gids[ci] != gids[cj]
+            count = int(np.count_nonzero(keep))
+            # safe in place: kept <= lo, and ci[keep] is a copy
+            i[kept:kept + count] = ci[keep]
+            j[kept:kept + count] = cj[keep]
+            kept += count
+        i, j = i[:kept], j[:kept]
+        _scan_draws(acc, gather, rows, workers,
+                    lambda k: (int(i[k]), int(j[k])), i, j)
+        return kept
+
+    remaining = samples
+    while remaining > 0:
+        remaining -= scan_pass(min(remaining, _SAMPLE_PASS))
     return CoherenceReport(
         label="coherence", prime=dictionary.prime, kind=dictionary.kind,
         bound=dictionary_bound(dictionary.kind, dictionary.prime),
@@ -357,32 +416,92 @@ def _coherence_sampled(dictionary, samples: int, seed: int
     )
 
 
-def _feed_pairs(acc, V, i, j, left, right, mags):
-    """Feed |<V[i[k]], V[j[k]]>| to acc, _PAIR_CHUNK pairs at a time, so
-    its argmax is the first maximum in draw order.  The rows are gathered
-    _GATHER_ROWS at a time into the buffers left and right, and mags
-    holds one chunk's magnitudes.  A function of its own, so that one
-    pass's pairs are freed before the next pass draws."""
-    for lo in range(0, i.size, _PAIR_CHUNK):
-        ci, cj = i[lo:lo + _PAIR_CHUNK], j[lo:lo + _PAIR_CHUNK]
-        for s in range(0, ci.size, _GATHER_ROWS):
-            si, sj = ci[s:s + _GATHER_ROWS], cj[s:s + _GATHER_ROWS]
-            # every index is in range, and "clip" lets np.take write
-            # into the buffers without a copy
-            phi = np.take(V, si, 0, out=left[:si.size], mode="clip")
-            psi = np.take(V, sj, 0, out=right[:si.size], mode="clip")
-            _pair_magnitudes(phi, psi, out=mags[s:s + si.size])
-        acc.feed(mags[:ci.size],
-                 argmax_of=lambda k: (int(ci[k]), int(cj[k])))
+def _scan_draws(acc, gather, rows, workers, draw, *draws):
+    """Feed acc the magnitudes of one pass's draws, each of the arrays
+    draws holding one coordinate of every draw; draw(k) names draw k.
+    _SPAN draws at a time, the workers run gather(worker, lo, hi, *span,
+    mags) on blocks of rows draws (see _run_blocks), each writing
+    mags[lo:hi] for the span's draws [lo, hi) with the worker's own
+    buffers; then acc is fed mags in draw order, _PAIR_CHUNK at a time,
+    so its argmax is the first maximum in draw order and the binning's
+    scratch stays small."""
+    size = len(draws[0])
+    mags = np.empty(min(size, _SPAN))
+    for start in range(0, size, _SPAN):
+        span = [a[start:start + _SPAN] for a in draws]
+        out = mags[:len(span[0])]
+        _run_blocks(gather, out.size, rows, workers, *span, out)
+        for lo in range(0, out.size, _PAIR_CHUNK):
+            acc.feed(out[lo:lo + _PAIR_CHUNK],
+                     argmax_of=lambda k, s=start + lo: draw(s + k))
 
 
-def _pair_magnitudes(left: np.ndarray, right: np.ndarray, out=None
-                     ) -> np.ndarray:
-    """|<left[k], right[k]>| for each row k, into out if given.  On
-    C-contiguous rows each dot is one BLAS zdotc, the call np.vdot makes,
-    so every magnitude equals np.abs(np.vdot(right[k], left[k])) bit for
-    bit."""
-    return np.abs(np.vecdot(right, left), out=out)
+def _worker_count(size: int) -> int:
+    """Workers for a sampled scan whose passes hold at most size draws:
+    one per core this process may run on, so ``taskset`` bounds it, at
+    most one per _PAIR_CHUNK draws, and no more than _GATHER_BUDGET gives
+    full-sized buffers."""
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask outside Linux
+        cores = os.cpu_count() or 1
+    return max(1, min(cores, -(-size // _PAIR_CHUNK),
+                      _GATHER_BUDGET // _GATHER_BYTES))
+
+
+def _gather_rows(row_bytes: int, workers: int) -> int:
+    """Draws per gather block of each worker, when a draw takes row_bytes
+    of a worker's buffers: _GATHER_BYTES per worker, less when the
+    workers would overrun _GATHER_BUDGET, so the scan's memory does not
+    grow with the worker count."""
+    return max(1, min(_GATHER_BYTES, _GATHER_BUDGET // workers) // row_bytes)
+
+
+def _run_blocks(job, size, step, workers, *args):
+    """Call job(k, lo, hi, *args) once for each block [lo, hi) of
+    range(0, size) in steps of step, on the given number of workers, each
+    claiming the next block whenever it is free; k names the worker.
+    Worker 0 is the calling thread and the others are threads started
+    here and joined before return, so none outlives the call and one
+    worker starts none.  Raises the first worker's exception, after all
+    have stopped."""
+    starts = iter(range(0, size, step))
+    claim = threading.Lock()
+    errors = [None] * workers
+
+    def work(k):
+        try:
+            while True:
+                with claim:
+                    lo = next(starts, None)
+                if lo is None:
+                    return
+                job(k, lo, min(lo + step, size), *args)
+        except BaseException as e:  # raised below, once all have stopped
+            errors[k] = e
+
+    threads = [threading.Thread(target=work, args=(k,))
+               for k in range(1, workers)]
+    try:
+        for thread in threads:
+            thread.start()
+        work(0)
+    finally:
+        for thread in threads:
+            if thread.ident is not None:  # started
+                thread.join()
+    for e in errors:
+        if e is not None:
+            raise e
+
+
+def _pair_magnitudes(left: np.ndarray, right: np.ndarray, out=None,
+                     dots=None) -> np.ndarray:
+    """|<left[k], right[k]>| for each row k, into out if given, by way of
+    the complex buffer dots if given.  On C-contiguous rows each dot is one
+    BLAS zdotc, the call np.vdot makes, so every magnitude equals
+    np.abs(np.vdot(right[k], left[k])) bit for bit."""
+    return np.abs(np.vecdot(right, left, out=dots), out=out)
 
 
 def verify_orthonormal(group: np.ndarray) -> float:
@@ -401,8 +520,8 @@ def shifted_coherence(dictionary, mode: str = "auto",
     4/sqrt(p) bound must survive every nonzero time-frequency shift of
     one atom, including psi = phi.  Exhaustive mode scans all ordered
     pairs for all p^2 - 1 shifts; sampled mode draws (i, j, v) triples
-    and gathers the translated rows through ``heisenberg.shift_table``
-    into three chunk buffers reused across chunks and passes.
+    and gathers the translated rows through ``heisenberg.shift_table``,
+    each pass split across the scan's workers (see the module docstring).
     """
     p = dictionary.prime
     field = FpField(p)
@@ -425,31 +544,42 @@ def shifted_coherence(dictionary, mode: str = "auto",
         rng = np.random.default_rng(seed)
         cols, phases = shift_table(field)
         flat = V.reshape(-1)
-        left = np.empty((_PAIR_CHUNK, p), dtype=np.complex128)
-        right = np.empty_like(left)
-        index = np.empty((_PAIR_CHUNK, p), dtype=np.intp)
-        remaining = samples
-        while remaining > 0:
-            m = min(remaining, 200_000)
+        workers = _worker_count(min(samples, _SHIFT_PASS))
+        # an index row and three complex rows per draw
+        rows = _gather_rows((8 + 3 * 16) * p, workers)
+        buffers = [(np.empty((rows, p), dtype=np.intp),
+                    np.empty((rows, p), dtype=np.complex128),
+                    np.empty((rows, p), dtype=np.complex128),
+                    np.empty((rows, p), dtype=np.complex128),
+                    np.empty(rows, dtype=np.intp),
+                    np.empty(rows, dtype=np.complex128))
+                   for _ in range(workers)]
+
+        def gather(k, lo, hi, i, j, v, mags):
+            idx, phi, psi, ph, row, dots = (
+                buf[:hi - lo] for buf in buffers[k])
+            # psi_j moved by v = tau*p + w: entry t is V[j, cols[tau, t]]
+            # times phases[v, t].  Every index is in range, and "clip"
+            # lets np.take write into the buffers without a copy
+            cols.take(np.floor_divide(v[lo:hi], p, out=row), 0, out=idx,
+                      mode="clip")
+            idx += np.multiply(j[lo:hi], p, out=row)[:, None]
+            flat.take(idx, out=psi, mode="clip")
+            psi *= phases.take(v[lo:hi], 0, out=ph, mode="clip")
+            V.take(i[lo:hi], 0, out=phi, mode="clip")
+            _pair_magnitudes(phi, psi, out=mags[lo:hi], dots=dots)
+
+        def scan_pass(m):
             i = rng.integers(0, n, size=m)
             j = rng.integers(0, n, size=m)
             v = rng.integers(1, p * p, size=m)  # nonzero shifts only
-            for lo in range(0, m, _PAIR_CHUNK):
-                c = slice(lo, lo + _PAIR_CHUNK)
-                ci, cj, cv = i[c], j[c], v[c]
-                idx, phi, psi = (buf[:ci.size] for buf in (index, left, right))
-                # psi_j moved by v = tau*p + w: entry t is V[j, cols[tau, t]]
-                # times phases[v, t].  Every index is in range, and "clip"
-                # lets np.take write into the buffers without a copy
-                np.take(cols, cv // p, 0, out=idx, mode="clip")
-                idx += (cj * p)[:, None]
-                np.take(flat, idx, out=psi, mode="clip")
-                psi *= phases[cv]
-                np.take(V, ci, 0, out=phi, mode="clip")
-                acc.feed(_pair_magnitudes(phi, psi),
-                         argmax_of=lambda k: (int(ci[k]), int(cj[k]),
-                                              *divmod(int(cv[k]), p)))
-            remaining -= m
+            _scan_draws(acc, gather, rows, workers, lambda k: (
+                int(i[k]), int(j[k]), *divmod(int(v[k]), p)), i, j, v)
+            return m
+
+        remaining = samples
+        while remaining > 0:
+            remaining -= scan_pass(min(remaining, _SHIFT_PASS))
         used_seed = seed
     else:
         raise ValueError(f"unknown scan mode {mode!r}")

@@ -311,6 +311,9 @@ def make_parser() -> argparse.ArgumentParser:
 
 def _check_arguments(args) -> None:
     """Refuse parsed arguments that cannot be run, before any load."""
+    if args.command in ("coherence", "recover") and args.seed < 0:
+        # numpy seeds only non-negative integers
+        raise BadInput(f"--seed must be at least 0, got {args.seed}")
     if args.command == "coherence" and args.samples < 1:
         raise BadInput(f"--samples must be at least 1, got {args.samples}")
     if args.command != "recover":

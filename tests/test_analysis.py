@@ -7,11 +7,17 @@ exhaustive scans.
 """
 
 import json
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import oscdict
 from oscdict import analysis
 from oscdict import dictionary as dictionary_module
 from oscdict.analysis import (CoherenceReport, _ScanAccumulator, coherence,
@@ -472,10 +478,13 @@ def _extended_union(field):
     return extended_dictionary(oscillator_dictionary(field))
 
 
-@pytest.mark.parametrize("builder, p", [
+_SAMPLED_SCAN_DICTIONARIES = [
     (split_oscillator, 11), (nonsplit_oscillator, 11),
     (oscillator_dictionary, 7), (heisenberg_dictionary, 13),
-    (_extended_union, 5), (_union_with_tail, 7), (_damaged_union, 7)])
+    (_extended_union, 5), (_union_with_tail, 7), (_damaged_union, 7)]
+
+
+@pytest.mark.parametrize("builder, p", _SAMPLED_SCAN_DICTIONARIES)
 def test_sampled_scans_equal_vdot_oracle(builder, p):
     # the whole report on the same draws, bit for bit; 5_000 samples end
     # on a partial chunk and gather, 100_100 run a second pass
@@ -513,6 +522,128 @@ def test_sampled_scan_memory_flat_in_samples():
     # the peak by tens of bytes, while any array kept from pass to pass
     # would add hundreds of kilobytes
     assert abs(peaks[1] - peaks[0]) <= 1024
+
+
+@pytest.mark.parametrize("builder, p", _SAMPLED_SCAN_DICTIONARIES)
+def test_sampled_reports_identical_at_any_worker_count(builder, p,
+                                                      monkeypatch):
+    # 5_000 draws end on a partial block; 100_100 pairs and 200_100
+    # triples run a second pass, and their first passes end on a partial
+    # span of magnitudes
+    d = builder(FpField(p))
+    scans = [(coherence, 5_000), (coherence, 100_100),
+             (shifted_coherence, 5_000), (shifted_coherence, 200_100)]
+    threads = threading.active_count()
+    reports = {}
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(analysis, "_worker_count", lambda size: workers)
+        for scan, samples in scans:
+            reports.setdefault((scan, samples), []).append(
+                scan(d, mode="sampled", samples=samples, seed=3).to_dict())
+            assert threading.active_count() == threads
+    for (scan, samples), (one, *more) in reports.items():
+        assert one["pairs_evaluated"] == samples
+        assert all(report == one for report in more), (scan, samples)
+
+
+def test_sampled_scan_stress_more_workers_than_cores(monkeypatch):
+    # eight workers with a 1 us switch interval: the threads interleave
+    # as often as the interpreter allows, and no block may be lost or
+    # written twice, so every report equals the one-worker report
+    d = split_oscillator(FpField(13))
+    monkeypatch.setattr(analysis, "_worker_count", lambda size: 1)
+    want = [scan(d, mode="sampled", samples=30_000, seed=5).to_dict()
+            for scan in (coherence, shifted_coherence)]
+    monkeypatch.setattr(analysis, "_worker_count", lambda size: 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = [scan(d, mode="sampled", samples=30_000, seed=5).to_dict()
+               for scan in (coherence, shifted_coherence)]
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == want
+
+
+@pytest.mark.parametrize("scan", [coherence, shifted_coherence])
+@pytest.mark.parametrize("failing", ["worker", "caller"])
+def test_sampled_scan_failure_reaches_caller(scan, failing, monkeypatch):
+    # a block that raises, on a worker thread or on the calling thread,
+    # fails the scan with its own exception and leaves no thread behind;
+    # the other side waits for the failure, so both sides take a block
+    d = oscillator_dictionary(FpField(7))
+    magnitudes = analysis._pair_magnitudes
+    main = threading.main_thread()
+    failed = threading.Event()
+
+    def pair_magnitudes(*args, **kwargs):
+        if (threading.current_thread() is main) == (failing == "caller"):
+            failed.set()
+            raise RuntimeError(f"{failing} block failed")
+        assert failed.wait(60)
+        return magnitudes(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "_worker_count", lambda size: 2)
+    monkeypatch.setattr(analysis, "_pair_magnitudes", pair_magnitudes)
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError, match=f"{failing} block failed"):
+        scan(d, mode="sampled", samples=20_000, seed=0)
+    assert threading.active_count() == threads
+
+
+def test_worker_count_follows_affinity_and_pass_size(monkeypatch):
+    # one worker per usable core and per _PAIR_CHUNK draws, and no more
+    # than the gather budget gives full-sized buffers
+    chunk = analysis._PAIR_CHUNK
+    sizes = (1, chunk, chunk + 1, 3 * chunk, 10 * chunk)
+    for cores, want in (({0}, [1, 1, 1, 1, 1]), ({0, 1}, [1, 1, 2, 2, 2]),
+                        ({0, 1, 2}, [1, 1, 2, 2, 2])):
+        monkeypatch.setattr(analysis.os, "sched_getaffinity",
+                            lambda pid: cores, raising=False)
+        assert [analysis._worker_count(size) for size in sizes] == want
+    monkeypatch.setattr(analysis, "_GATHER_BUDGET",
+                        3 * analysis._GATHER_BYTES)
+    assert analysis._worker_count(10 * chunk) == 3
+
+
+def test_sampled_scan_memory_flat_at_any_worker_count(monkeypatch):
+    # the workers share one gather budget, so eight workers trace what two
+    # do; the flatness bound is looser than one worker's because the
+    # threads' in-flight Python objects at the peak vary with scheduling,
+    # while a pass-long array kept from pass to pass would add 800 kB
+    d = heisenberg_dictionary(FpField(61))
+    for scan in (coherence, shifted_coherence):
+        scan(d, mode="sampled", samples=1_000)  # first-use imports
+    peaks = {}
+    for workers in (2, 8):
+        monkeypatch.setattr(analysis, "_worker_count", lambda size: workers)
+        for scan in (coherence, shifted_coherence):
+            for samples in (200_000, 1_000_000):
+                tracemalloc.start()
+                try:
+                    scan(d, mode="sampled", samples=samples)
+                    peaks[workers, scan, samples] = (
+                        tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+    assert peaks[8, coherence, 200_000] <= 8_000_000
+    assert abs(peaks[8, coherence, 1_000_000]
+               - peaks[8, coherence, 200_000]) <= 16_384
+    for scan in (coherence, shifted_coherence):
+        assert peaks[8, scan, 200_000] <= peaks[2, scan, 200_000] + 131_072
+
+
+def test_import_starts_no_thread():
+    # a thread pool exists only inside a sampled scan, and importing the
+    # package loads no thread-pool module
+    code = ("import sys, threading, oscdict; print(threading.active_count(),"
+            " 'concurrent.futures' in sys.modules)")
+    src = str(Path(oscdict.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.split() == ["1", "False"]
 
 
 def _shifted_scan_by_rows(d, samples, seed):

@@ -688,6 +688,23 @@ def test_coherence_argument_errors(tmp_path, capsys):
         assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["coherence", "--mode", "sampled", "--seed", "-1"],
+    ["recover", "--experiment", "--sparsity", "2", "--seed", "-5"]])
+def test_negative_seed_refused_before_load(tmp_path, capsys, argv):
+    # numpy seeds only non-negative integers: exit 2 and one error line,
+    # also for a bundle that does not exist, since nothing is loaded
+    out = str(tmp_path / "h5")
+    assert main(["build", "--prime", "5", "--out", out]) == 0
+    capsys.readouterr()
+    for bundle in (out, str(tmp_path / "ghost")):
+        assert main(argv[:1] + [bundle] + argv[1:]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --seed")
+        assert captured.err.count("\n") == 1
+
+
 def test_recover_reports_recovery_failure(tmp_path, capsys, monkeypatch):
     out = str(tmp_path / "h5")
     assert main(["build", "--prime", "5", "--out", out]) == 0
