@@ -22,14 +22,18 @@ rho(g) pi(h) rho(g)^-1 = pi(g.h) and conjugacy of the tori make every
 transported vector an exact eigenvector of the target family, so one
 eigenbasis per family suffices.  Every family is listed orbit-major:
 only its seed groups are moved by rho, and ``chirp_orbit`` spreads each
-over its orbit with the chirps M_x = rho(U(x)); a bundle stores only the
-seed rows, and its loader runs the same ``chirp_orbit``.  Both mark
-their dictionaries (``mark_chirp_orbits``), whose orbit defect is then
-that function's rounding bound, not a check of the atoms.  The Heisenberg
-lines are one orbit, the characters rho(w) delta spread over the lines
-(1, x), followed by the one line U(x) fixes, the deltas, as a tail
-group.  Member order within a group is the reference order: the psi(m)
-order for Heisenberg lines (member m has pi(l0)-eigenvalue psi(m)), the
+over its orbit with the chirps M_x = rho(U(x)).  The seeds are listed
+in closed form, with no enumeration of SL_2 (the split seeds
+[[1, b], [0, 1]], the non-split ones from their torus keys), and moved
+a bounded stack of rho(g) at a time, one product and one phase
+normalization per stack.  A bundle stores only the seed rows, and its
+loader runs the same ``chirp_orbit``.  Both mark their dictionaries
+(``mark_chirp_orbits``), whose orbit defect is then that function's
+rounding bound, not a check of the atoms.  The Heisenberg lines are one
+orbit, the characters rho(w) delta spread over the lines (1, x),
+followed by the one line U(x) fixes, the deltas, as a tail group.
+Member order within a group is the reference order: the psi(m) order
+for Heisenberg lines (member m has pi(l0)-eigenvalue psi(m)), the
 character order for split tori, and the reference eigen-angle order for
 non-split tori.
 
@@ -52,14 +56,14 @@ from .field import FpField
 from .heisenberg import shift_table
 from .linalg import (PIVOT_TIE_TOL, phase_normalize_rows, phase_pivots,
                      phase_table)
-from .sl2 import _nonsplit_seeds, split_representatives, weyl_element
+from .sl2 import SL2Element, _nonsplit_seeds, weyl_element
 from .weil import chirp_table, rho
 
 OSCILLATOR_KINDS = ("oscillator_split", "oscillator_nonsplit", "oscillator")
 _ORBIT_TOL = 1e-12  # largest orbit defect that counts as chirp orbits
 _U = 2.0 ** -53  # unit roundoff of float64
-# entries per temporary of the orbit check and per block of chirp_orbit:
-# 256 KB
+# entries per temporary of the orbit check, per block of chirp_orbit and
+# per stack of seed transports: 256 KB
 _CHECK_CELLS = 1 << 14
 # largest residual of rho(t0)^(p+1) against a scalar on a start vector, and
 # largest projection of one onto the character line absent from C^p
@@ -328,7 +332,12 @@ def _chirp_orbits(kind: str, field: FpField, families,
     Group j*p + x of a family holds the rows of its reference moved by
     rho(U(x) g_j), for the seed conjugators g_j.  rho(U(x) g) =
     M_x rho(g), so each seed group is transported once and then spread
-    over its orbit by ``chirp_orbit``.
+    over its orbit by ``chirp_orbit``.  The seeds go in stacks of
+    _CHECK_CELLS / p^2 (at least one): reference times each stacked
+    rho(g)^T in one matmul, then one phase normalization for the stack.
+    The matmul runs one product per stacked operator and the
+    normalization is row-wise, so the atoms are those of one transport
+    per seed bit for bit (the tests hold this against that oracle).
     """
     p = field.p
     chirp = chirp_table(field)
@@ -337,14 +346,18 @@ def _chirp_orbits(kind: str, field: FpField, families,
     vectors = np.empty((n, p), dtype=np.complex128)
     group_ids = np.empty(n, dtype=np.int64)
     member_ids = np.empty(n, dtype=np.int64)
+    step = max(1, _CHECK_CELLS // (p * p))  # seeds per stack of rho(g)
     lo = first_group = 0
     for reference, seeds in families:
         m = len(reference)
         hi = lo + len(seeds) * p * m
         out = vectors[lo:hi].reshape(len(seeds), p, m, p)
-        for block, g in zip(out, seeds):
-            chirp_orbit(phase_normalize_rows(reference @ rho(g).T), chirp,
-                        block)
+        for k in range(0, len(seeds), step):
+            stack = np.stack([rho(g) for g in seeds[k:k + step]])
+            moved = phase_normalize_rows(
+                (reference @ stack.transpose(0, 2, 1)).reshape(-1, p))
+            for block, seed in zip(out[k:k + step], moved.reshape(-1, m, p)):
+                chirp_orbit(seed, chirp, block)
         group_ids[lo:hi], member_ids[lo:hi] = np.divmod(np.arange(hi - lo), m)
         group_ids[lo:hi] += first_group
         lo, first_group = hi, first_group + len(seeds) * p
@@ -385,16 +398,17 @@ def _standard_basis_matrix(field: FpField) -> np.ndarray:
     dlog = np.array(field.dlog_table())
     zeta = np.exp(2j * np.pi * np.arange(p - 1) / (p - 1))
     B = np.zeros((p - 2, p), dtype=np.complex128)
-    for j in range(1, p - 1):
-        B[j - 1, 1:] = zeta[(j * dlog[1:]) % (p - 1)] / np.sqrt(p - 1)
+    j = np.arange(1, p - 1)[:, None]
+    B[:, 1:] = zeta[(j * dlog[1:]) % (p - 1)] / np.sqrt(p - 1)
     return B
 
 
 def _split_family(field: FpField) -> tuple:
     """Reference and seeds of D_O^s: the standard basis, and the
-    representatives [[1, b], [0, 1]], the first of them the identity."""
+    representatives [[1, b], [0, 1]], b = 0..(p-1)/2, listed in closed
+    form (they are the entries b*p of R), the first the identity."""
     return (_standard_basis_matrix(field),
-            split_representatives(field)[::field.p])
+            [SL2Element(1, b, 0, 1, field) for b in range((field.p + 1) // 2)])
 
 
 def _nonsplit_family(field: FpField) -> tuple:

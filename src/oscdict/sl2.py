@@ -196,17 +196,25 @@ def split_representatives(field: FpField) -> list:
 def _nonsplit_seeds(field: FpField) -> tuple:
     """(t0, [h_j]): the reference generator and the seed conjugators of
     the non-split tori, as ``nonsplit_tori`` describes them.  The
-    builders read only these; h_j is the conjugator of entry j*p."""
+    builders read only these; h_j is the conjugator of entry j*p.  The
+    order of each candidate x I + y m0 is taken on the pair (x, y) in
+    integers, so SL2Elements are made only for t0 and the seeds."""
     p = field.p
     root = {}
     for v in range(p):
         root.setdefault(v * v % p, v)
     nonsquares = [c for c in range(1, p) if field.legendre(c) == -1]
     c0 = nonsquares[0]
-    t0 = next(g for g in (SL2Element(x, y, c0 * y, x, field)
-                          for x in range(p) for y in range(p)
-                          if (x * x - c0 * y * y) % p == 1)
-              if sl2_order(g) == p + 1)
+
+    def order(x, y):  # of x I + y m0, with m0^2 = c0 I, in integers
+        u, v, k = x, y, 1
+        while (u, v) != (1, 0):
+            u, v, k = (u * x + c0 * v * y) % p, (u * y + v * x) % p, k + 1
+        return k
+
+    x, y = next((x, y) for x in range(p) for y in range(p)
+                if (x * x - c0 * y * y) % p == 1 and order(x, y) == p + 1)
+    t0 = SL2Element(x, y, c0 * y, x, field)
     seeds = []
     for c in nonsquares:
         lam = root[c0 * field.inv(c) % p]

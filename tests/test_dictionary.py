@@ -19,8 +19,9 @@ from oscdict.field import FpField
 from oscdict.heisenberg import HeisenbergElement, pi
 from oscdict.linalg import (UNIT_NORM_TOL, phase_normalize_rows, phase_pivots,
                             phase_table)
-from oscdict.weil import rho
-from oscdict.sl2 import _nonsplit_seeds, nonsplit_tori, split_representatives
+from oscdict.weil import chirp_table, rho
+from oscdict.sl2 import (_nonsplit_seeds, nonsplit_tori,
+                         split_representatives, weyl_element)
 from schur_oracle import eig_unitary
 
 
@@ -472,3 +473,54 @@ def test_builds_are_bit_reproducible():
         assert np.array_equal(a.vectors, b.vectors)
         assert np.array_equal(a.group_ids, b.group_ids)
         assert np.array_equal(a.member_ids, b.member_ids)
+
+
+def one_character_at_a_time(field):
+    """Oracle of the split reference: the character vectors, one row
+    per exponent j = 1..p-2, as a loop."""
+    p = field.p
+    dlog = np.array(field.dlog_table())
+    zeta = np.exp(2j * np.pi * np.arange(p - 1) / (p - 1))
+    B = np.zeros((p - 2, p), dtype=np.complex128)
+    for j in range(1, p - 1):
+        B[j - 1, 1:] = zeta[(j * dlog[1:]) % (p - 1)] / np.sqrt(p - 1)
+    return B
+
+
+def one_seed_at_a_time(field, families, tail):
+    """Oracle of the builders: each (reference, seeds) family moved one
+    seed at a time, phase_normalize_rows(reference @ rho(g).T), each
+    spread by its own chirp_orbit call, then the tail rows."""
+    p = field.p
+    rows = []
+    for reference, seeds in families:
+        for g in seeds:
+            block = np.empty((p, len(reference), p), dtype=np.complex128)
+            dictionary.chirp_orbit(phase_normalize_rows(reference @ rho(g).T),
+                                   chirp_table(field), block)
+            rows.append(block.reshape(-1, p))
+    return np.concatenate(rows + [np.reshape(tail, (-1, p))])
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 17, 31])
+def test_builds_equal_one_seed_at_a_time_oracle(p):
+    # the closed-form split seeds are R's entries b*p, and every builder's
+    # atoms are the oracle's bit for bit, seeds moved in stacks or one at
+    # a time (t0 is checked against the SL_2 order search in test_sl2)
+    f = FpField(p)
+    seeds = split_representatives(f)[::p]
+    assert dictionary._split_family(f)[1] == seeds
+    split = (one_character_at_a_time(f), seeds)
+    nonsplit = (dictionary._nonsplit_family(f)[0],
+                [T.conjugator for T in nonsplit_tori(f)[::p]])
+    cases = [
+        (heisenberg_dictionary, [(np.eye(p), [weyl_element(f)])], np.eye(p)),
+        (split_oscillator, [split], ()),
+        (nonsplit_oscillator, [nonsplit], ()),
+        (oscillator_dictionary, [split, nonsplit], ()),
+    ]
+    for build, families, tail in cases:
+        got = build(f).vectors
+        want = one_seed_at_a_time(f, families, tail)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes(), build.__name__

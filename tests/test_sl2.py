@@ -11,13 +11,13 @@ lists is checked entry by entry against U(x) times the orbit's seed.
 import numpy as np
 import pytest
 
-from oscdict.field import FpField
+from oscdict.field import FpField, is_prime
 from oscdict.heisenberg import HeisenbergElement, h_mul
 from oscdict.sl2 import (BruhatFactorization, SL2Element, TorusDescriptor,
-                         bruhat, diagonal, nonsplit_tori, sl2_elements,
-                         sl2_identity, sl2_inv, sl2_mul, sl2_order,
-                         sp_action, split_representatives, unipotent,
-                         weyl_element)
+                         _nonsplit_seeds, bruhat, diagonal, nonsplit_tori,
+                         sl2_elements, sl2_identity, sl2_inv, sl2_mul,
+                         sl2_order, sp_action, split_representatives,
+                         unipotent, weyl_element)
 
 
 def torus_key(m: SL2Element) -> tuple:
@@ -279,6 +279,19 @@ def test_first_nonsplit_generator_frozen():
         assert T.generator.entries() == (x, y, c0 * y % p, x)
         assert T.conjugator == sl2_identity(f)
         assert torus_key(T.generator) == (0, 1, c0)
+
+
+def test_nonsplit_generator_matches_group_order_search():
+    # t0 from integer products on (x, y) is the first (x, y) whose
+    # SL2Element has order p+1, at every prime up to 139
+    for p in filter(is_prime, range(5, 140)):
+        f = FpField(p)
+        c0 = next(c for c in range(1, p) if f.legendre(c) == -1)
+        t0 = next(g for g in (SL2Element(x, y, c0 * y, x, f)
+                              for x in range(p) for y in range(p)
+                              if (x * x - c0 * y * y) % p == 1)
+                  if sl2_order(g) == p + 1)
+        assert _nonsplit_seeds(f)[0] == t0
 
 
 def test_circle_group_is_a_nonsplit_torus():
