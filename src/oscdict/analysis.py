@@ -15,9 +15,10 @@ alone, and reads the tail (the fewer than p groups after the orbits:
 the Heisenberg deltas) densely, one magnitude per pair; any other
 exhaustive scan forms the upper half of the Gram matrix, one row block
 at a time.  The orbit defect is ``Dictionary.orbit_defect``, shared
-with OMP: builds and loads set it by construction, from the rounding of
-``dictionary.chirp_orbit``, which wrote their orbits; only a hand-made
-or all-tail dictionary checks its atoms for it, once.
+with OMP: the rounding bound of ``dictionary.chirp_orbit`` on the orbits
+that builds and loads declare (``Dictionary.orbits``).  A dictionary
+that declares none (hand-made, extended or stored all-tail) takes the
+dense scan, and no scan checks the atoms for orbits.
 
 A sampled scan draws passes of min(remaining, _SAMPLE_PASS) pairs, i
 then j, and keeps every cross-group one, so it evaluates exactly
@@ -72,8 +73,8 @@ from .heisenberg import shift_table, translate_rows
 EXHAUSTIVE_PAIR_LIMIT = 50_000_000
 DEFAULT_SAMPLES = 1_000_000
 HISTOGRAM_BINS = 50
-_BLOCK_ROWS = 256
-_BLOCK_CELLS = 1 << 20  # magnitudes per block of the orbit scan: 16 MB
+_BLOCK_ROWS = 256  # rows per block of the dense scan, at most
+_BLOCK_CELLS = 1 << 20  # magnitudes per block of an exhaustive scan: 16 MB
 _SAMPLE_PASS = 100_000  # pairs drawn per pass of a sampled scan
 _SHIFT_PASS = 200_000  # triples drawn per pass of a sampled shifted scan
 _SPAN = 1 << 16  # sampled draws whose magnitudes are held at once
@@ -322,19 +323,24 @@ def _scan_orbits(dictionary, orbit_defect: float, acc) -> float:
 def _scan_dense(V: np.ndarray, gids: np.ndarray, acc, offset: int = 0
                 ) -> float:
     """The exhaustive scan of the atoms V, grouped by gids, into acc: the
-    upper half of their Gram, one row block at a time.  Pairs are
-    reported as indices plus offset; returns the within-group defect."""
+    upper half of their Gram, one block of rows at a time.  A block has
+    _BLOCK_ROWS rows, fewer when more than _BLOCK_CELLS magnitudes would
+    not fit them (at least one), and the scan makes no copy of V, so its
+    scratch does not grow with len(V).  Pairs are reported as indices
+    plus offset; returns the within-group defect."""
     n = len(V)
-    Vh = V.conj().T
-    # group_ids are nondecreasing, so a group is a run of rows and row r's
-    # cross-group partners j > r are exactly the columns [group_end[r], n)
-    group_end = np.searchsorted(gids, gids, side="right")
+    step = max(1, min(_BLOCK_ROWS, _BLOCK_CELLS // n))
     within = 0.0
-    for start in range(0, n, _BLOCK_ROWS):
-        stop = min(start + _BLOCK_ROWS, n)
-        # the upper part of the Gram only: block columns are start..n-1
-        mags = np.abs(V[start:stop] @ Vh[:, start:])
-        ends = group_end[start:stop] - start
+    for start in range(0, n, step):
+        stop = min(start + step, n)
+        # the upper part of the Gram only: block columns are start..n-1,
+        # |<V[c], V[r]>| taken as |conj(V[r]) . V[c]|, so only the block
+        # is conjugated
+        mags = np.abs(V[start:stop].conj() @ V[start:].T)
+        # group_ids are nondecreasing, so a group is a run of rows and row
+        # r's cross-group partners j > r are exactly the columns
+        # [group end of r, n)
+        ends = np.searchsorted(gids, gids[start:stop], side="right") - start
         # within-group defect: compare the same-group sub-Gram to identity
         width = int(ends[-1])
         diag = np.arange(stop - start)
@@ -519,24 +525,40 @@ def shifted_coherence(dictionary, mode: str = "auto",
     This is the stability statement behind the extended dictionary: the
     4/sqrt(p) bound must survive every nonzero time-frequency shift of
     one atom, including psi = phi.  Exhaustive mode scans all ordered
-    pairs for all p^2 - 1 shifts; sampled mode draws (i, j, v) triples
-    and gathers the translated rows through ``heisenberg.shift_table``,
-    each pass split across the scan's workers (see the module docstring).
+    pairs for all p^2 - 1 shifts: per shift, blocks of rows i against
+    chunks of translated rows j, at most _BLOCK_CELLS magnitudes and
+    translated entries each (at least one row), so its scratch does not
+    grow with n; each block of rows is fed whole, so the argmax is the
+    first maximum in (v, i, j) order.  Sampled mode draws (i, j, v)
+    triples and gathers the translated rows through
+    ``heisenberg.shift_table``, each pass split across the scan's workers
+    (see the module docstring).
     """
     p = dictionary.prime
     field = FpField(p)
     V = dictionary.vectors
     n = len(V)
+    if n == 0:
+        raise ValueError("shifted coherence needs at least one atom")
     total = n * n * (p * p - 1)
     if mode == "auto":
         mode = "exhaustive" if total <= EXHAUSTIVE_PAIR_LIMIT else "sampled"
     acc = _ScanAccumulator()
     if mode == "exhaustive":
+        rows = max(1, _BLOCK_CELLS // n)
+        width = max(1, _BLOCK_CELLS // max(rows, p))
+        mags = np.empty((min(rows, n), n))
         for v in range(1, p * p):
             tau, w = divmod(v, p)
-            mags = np.abs(V @ translate_rows(V, tau, w, field).conj().T)
-            acc.feed(mags.reshape(-1), argmax_of=lambda k, t=tau, ww=w: (
-                k // n, k % n, t, ww))
+            for i in range(0, n, rows):
+                block = V[i:i + rows]
+                out = mags[:len(block)]
+                for j in range(0, n, width):
+                    moved = translate_rows(V[j:j + width], tau, w, field)
+                    np.abs(block @ np.conjugate(moved, out=moved).T,
+                           out=out[:, j:j + width])
+                acc.feed(out.reshape(-1), argmax_of=lambda k, i=i, t=tau,
+                         ww=w: (i + k // n, k % n, t, ww))
         used_seed = None
     elif mode == "sampled":
         if samples < 1:

@@ -27,11 +27,13 @@ in closed form, with no enumeration of SL_2 (the split seeds
 [[1, b], [0, 1]], the non-split ones from their torus keys), and moved
 a bounded stack of rho(g) at a time, one product and one phase
 normalization per stack.  A bundle stores only the seed rows, and its
-loader runs the same ``chirp_orbit``.  Both mark their dictionaries
-(``mark_chirp_orbits``), whose orbit defect is then that function's
-rounding bound, not a check of the atoms.  The Heisenberg lines are one
-orbit, the characters rho(w) delta spread over the lines (1, x),
-followed by the one line U(x) fixes, the deltas, as a tail group.
+loader runs the same ``chirp_orbit``.  Both declare the orbits they
+wrote (``Dictionary(orbits=...)``), whose orbit defect is then that
+function's rounding bound; no check reads the atoms, and a dictionary
+that declares none (hand-made, or the extended family) is read densely.
+The Heisenberg lines are one orbit, the characters rho(w) delta spread
+over the lines (1, x), followed by the one line U(x) fixes, the deltas,
+as a tail group.
 Member order within a group is the reference order: the psi(m) order
 for Heisenberg lines (member m has pi(l0)-eigenvalue psi(m)), the
 character order for split tori, and the reference eigen-angle order for
@@ -60,10 +62,9 @@ from .sl2 import SL2Element, _nonsplit_seeds, weyl_element
 from .weil import chirp_table, rho
 
 OSCILLATOR_KINDS = ("oscillator_split", "oscillator_nonsplit", "oscillator")
-_ORBIT_TOL = 1e-12  # largest orbit defect that counts as chirp orbits
+_ORBIT_TOL = 1e-12  # largest orbit defect the orbit readers accept
 _U = 2.0 ** -53  # unit roundoff of float64
-# entries per temporary of the orbit check, per block of chirp_orbit and
-# per stack of seed transports: 256 KB
+# entries per block of chirp_orbit and per stack of seed transports: 256 KB
 _CHECK_CELLS = 1 << 14
 # largest residual of rho(t0)^(p+1) against a scalar on a start vector, and
 # largest projection of one onto the character line absent from C^p
@@ -79,12 +80,18 @@ class Dictionary:
 
     vectors is (n_atoms, p) atom-major; group_ids must be nondecreasing
     (builders emit group-major blocks), so a group is a contiguous slice.
-    The arrays are not modified after construction, so the layout derived
-    from them (group offsets, the chirp-orbit check) is computed once.
+    orbits holds the group size of each chirp orbit, counted from atom
+    0, that ``chirp_orbit`` wrote: the groups j*p + x, x = 0..p-1, of
+    orbit j are equally large, and row r of group (j, x) is a unimodular
+    phase times chirp_x * (row r of group (j, 0)), where chirp_x[t] =
+    psi(-(x/2) t^2).  The groups after the orbits are the tail, which
+    readers take densely; with no orbits every group is.  The arrays
+    are not modified after construction, so the layout derived from
+    them (group offsets, orbit seeds) is computed once.
     """
 
     def __init__(self, kind, prime, vectors, group_ids, member_ids,
-                 shifts=None):
+                 shifts=None, *, orbits=()):
         if kind not in KINDS:
             raise ValueError(f"unknown dictionary kind {kind!r}")
         self.kind = kind
@@ -105,6 +112,15 @@ class Dictionary:
         # start offset of each group (groups are contiguous, may be empty)
         self._starts = np.searchsorted(self.group_ids,
                                        np.arange(self.n_groups + 1))
+        self.orbits = np.asarray(orbits, dtype=np.int64)
+        p, k = self.prime, len(self.orbits)
+        if k:
+            FpField(p)  # a ValueError unless orbits have chirps over F_p
+            if (self._starts[0] or p * k > self.n_groups
+                    or self.vectors.shape[1] != p or self.orbits.min() < 1
+                    or np.any(np.diff(self._starts[:p * k + 1])
+                              != np.repeat(self.orbits, p))):
+                raise ValueError("group ids disagree with orbit layout")
 
     def __len__(self):
         return len(self.vectors)
@@ -115,28 +131,23 @@ class Dictionary:
     def group_matrix(self, g: int) -> np.ndarray:
         return self.vectors[self.group_slice(g)]
 
-    # set by mark_chirp_orbits: chirp_orbit wrote every orbit
-    _orbits_written = False
-
     @cached_property
     def orbit_defect(self) -> float | None:
-        """A bound on how far the atoms are from chirp orbits, or None
-        when they are not; computed once, on first use.  The exhaustive
-        scan and OMP read it.
-
-        The builders and the bundle loader write every orbit with
-        ``chirp_orbit`` (``mark_chirp_orbits``), so theirs is that
-        function's rounding bound (``_written_defect``), read off the
-        seed rows alone.  Any other dictionary (hand-made, or a bundle
-        stored all-tail) measures it on the atoms with ``_orbit_defect``.
+        """A bound on how far the atoms are from the declared chirp
+        orbits, or None when none are declared or the bound exceeds
+        _ORBIT_TOL; computed once, on first use, from the seed rows
+        alone (``_written_defect``).  The exhaustive scan and OMP read
+        it, and take a dictionary with None densely.
         """
-        if self._orbits_written:
-            return _written_defect(self)
-        return _orbit_defect(self)
+        if not len(self.orbits):
+            return None
+        bound = _written_defect(self)
+        return bound if bound <= _ORBIT_TOL else None
 
     @cached_property
     def orbit_seeds(self) -> tuple | None:
-        """The seed rows of chirp orbits, or None when the atoms are not.
+        """The seed rows of the declared chirp orbits, or None when
+        orbit_defect is None.
 
         Returns (runs, end, norm): one (lo, hi, seeds) per run of
         consecutive orbits with equally large groups, where atoms lo:hi
@@ -147,9 +158,8 @@ class Dictionary:
         """
         if self.orbit_defect is None:
             return None
-        p = self.prime
-        starts = self._starts[::p]  # orbit bounds: tail groups number < p
-        sizes = np.diff(starts) // p
+        p, sizes = self.prime, self.orbits
+        starts = self._starts[:p * len(sizes) + 1:p]  # orbit bounds
         cuts = [0, *(np.flatnonzero(np.diff(sizes)) + 1), len(sizes)]
         runs = [(int(starts[a]), int(starts[b]),
                  _read_only(self.vectors[starts[a]:starts[b]]
@@ -184,68 +194,6 @@ def expected_size(kind: str, p: int) -> int:
         "oscillator": n_split + n_nonsplit,
         "extended": p * p * (n_split + n_nonsplit),
     }[kind]
-
-
-def orbit_layout(dictionary) -> tuple | None:
-    """(field, sizes) when the group sizes allow chirp orbits, else None.
-
-    Chirp orbits: the groups j*p + x, x = 0..p-1, form orbit j; they are
-    equally large and nonempty, and row r of group (j, x) is a unimodular
-    phase times chirp_x * (row r of group (j, 0)), where chirp_x[t] =
-    psi(-(x/2) t^2).  The first n_groups - n_groups mod p groups must be
-    orbits, at least one; the rest, fewer than p groups, are the tail,
-    which readers take densely.  sizes holds the group size of each orbit.
-    Only the group offsets are read, no atom.
-    """
-    p = dictionary.prime
-    sizes = np.diff(dictionary._starts)
-    sizes = sizes[:sizes.size - sizes.size % p]  # the tail is not checked
-    if dictionary.vectors.shape[1] != p or dictionary._starts[0] \
-            or not sizes.size or sizes.min() == 0 \
-            or np.any(sizes.reshape(-1, p) != sizes[::p, None]):
-        return None
-    try:
-        field = FpField(p)
-    except ValueError:  # a hand-made layout over no field F_p has no chirps
-        return None
-    return field, sizes[::p]
-
-
-def _orbit_defect(dictionary) -> float | None:
-    """How far the atoms are from chirp orbits (see ``orbit_layout``), or
-    None when they are not.
-
-    The defect is the largest residual norm of the chirp-orbit fit over
-    all orbit atoms; above _ORBIT_TOL the layout counts as no orbit.  The
-    group sizes are checked first, so most other layouts are refused
-    without reading an atom.
-    """
-    layout = orbit_layout(dictionary)
-    if layout is None:
-        return None
-    field, sizes = layout
-    p = field.p
-    V = dictionary.vectors
-    t = np.arange(p)
-    unchirp = chirp_table(field)[:, t * t % p].conj()[:, None, :]
-    starts = dictionary._starts[::p]
-    worst = 0.0
-    for lo, hi, m in zip(starts[:-1], starts[1:], sizes):
-        orbit = V[lo:hi].reshape(p, m, p)
-        seed = orbit[0] * unchirp[0]
-        # a few groups at a time, so no temporary is larger than
-        # _CHECK_CELLS entries however large the bundle
-        step = max(1, _CHECK_CELLS // (m * p))
-        for x in range(0, p, step):
-            q = orbit[x:x + step] * unchirp[x:x + step]
-            fit = np.einsum("rt,xrt->xr", seed.conj(), q)
-            mag = np.abs(fit)
-            phase = np.divide(fit, mag, out=np.ones_like(fit), where=mag > 0)
-            residual = q - phase[:, :, None] * seed
-            worst = max(worst, float(np.linalg.norm(residual, axis=2).max()))
-            if not worst <= _ORBIT_TOL:
-                return None
-    return worst
 
 
 def chirp_orbit(seed: np.ndarray, chirp: np.ndarray,
@@ -290,16 +238,9 @@ def _phase_defect(p: int) -> float:
     return (1 + 4 * _U) * m + 3 * _U
 
 
-def mark_chirp_orbits(d: Dictionary) -> Dictionary:
-    """Record that ``chirp_orbit`` wrote every orbit of d from its group
-    (j, 0) rows, so its orbit defect is the rounding bound of that
-    function instead of a check of the atoms.  Returns d."""
-    d._orbits_written = True
-    return d
-
-
-def _written_defect(d: Dictionary) -> float | None:
-    """The orbit defect of a d whose orbits ``chirp_orbit`` wrote.
+def _written_defect(d: Dictionary) -> float:
+    """A bound on the orbit defect of a d whose orbits ``chirp_orbit``
+    wrote.
 
     Entry t of row r of group (j, x) is fl(P[a - b] s[t]), where s is
     the seed row, a = -(x/2) t^2 and b = -(x/2) k_r^2 (mod p) index P =
@@ -309,19 +250,15 @@ def _written_defect(d: Dictionary) -> float | None:
     |s[t]| (Higham, Lemma 3.5), and P[a - b] differs from P[a] conj(P[b])
     by at most the phase defect delta_P (``_phase_defect``), so every row
     is within (3u + delta_P) ||s|| of the orbit, and ||s|| is at most
-    the largest computed seed-row norm times 1 + (p + 1) u.  This bound,
-    about 1e-15 for unit seeds, stands in for the measured
-    ``_orbit_defect``; one above _ORBIT_TOL (seeds that are not finite,
-    or so large that rounding alone passes the tolerance) leaves the
-    decision to the measured check.
+    the largest computed seed-row norm times 1 + (p + 1) u.  That is
+    about 1e-15 for unit seeds; seeds that are not finite, or so large
+    that rounding alone passes _ORBIT_TOL, give a bound above it.
     """
     p = d.prime
-    _, sizes = orbit_layout(d)
     seeds = (d.vectors[lo:lo + m]
-             for lo, m in zip(d._starts[::p].tolist(), sizes.tolist()))
+             for lo, m in zip(d._starts[::p].tolist(), d.orbits.tolist()))
     norm = max(float(np.vecdot(s, s).real.max()) for s in seeds) ** 0.5
-    bound = (3 * _U + _phase_defect(p)) * (1 + (p + 1) * _U) * norm
-    return bound if bound <= _ORBIT_TOL else _orbit_defect(d)
+    return (3 * _U + _phase_defect(p)) * (1 + (p + 1) * _U) * norm
 
 
 def _chirp_orbits(kind: str, field: FpField, families,
@@ -348,8 +285,10 @@ def _chirp_orbits(kind: str, field: FpField, families,
     member_ids = np.empty(n, dtype=np.int64)
     step = max(1, _CHECK_CELLS // (p * p))  # seeds per stack of rho(g)
     lo = first_group = 0
+    orbits = []  # the group size of each orbit, one per seed
     for reference, seeds in families:
         m = len(reference)
+        orbits += [m] * len(seeds)
         hi = lo + len(seeds) * p * m
         out = vectors[lo:hi].reshape(len(seeds), p, m, p)
         for k in range(0, len(seeds), step):
@@ -365,8 +304,8 @@ def _chirp_orbits(kind: str, field: FpField, families,
         vectors[lo:] = tail
         group_ids[lo:] = first_group
         member_ids[lo:] = np.arange(n - lo)
-    return mark_chirp_orbits(Dictionary(kind, p, vectors, group_ids,
-                                        member_ids))
+    return Dictionary(kind, p, vectors, group_ids, member_ids,
+                      orbits=orbits)
 
 
 def heisenberg_dictionary(field: FpField) -> Dictionary:

@@ -18,8 +18,8 @@ magnitudes stay in (orbit, member, chirp) order, and the support and
 the pick are mapped to and from atom indices by index arithmetic.  The
 tail after the orbits (the Heisenberg deltas) is read densely.  So a
 Heisenberg step reads 2p rows instead of p(p+1).  Built and loaded
-dictionaries know their orbits by construction; only hand-made ones pay
-a check of the atoms, once.
+dictionaries declare their orbits (``Dictionary.orbits``); any other
+dictionary takes the dense step, with no check of its atoms.
 """
 
 from __future__ import annotations

@@ -19,15 +19,16 @@ layout is the kind (ASCII, NUL-padded to 24 bytes), the orbit count u64
 and the first atom of the tail u64, all under the digest.  Signals use
 the same header, followed by the samples, in a single file.
 
-A save stores seed rows only where ``chirp_orbit``, the build's own
+A save stores the seed rows of the orbits a dictionary declares
+(``Dictionary.orbits``) only where ``chirp_orbit``, the build's own
 broadcast, gives back every orbit bit for bit (``_seed_sizes``); any
 other dictionary is stored as tail rows alone.  A load checks every
 header and layout field against the file length and MAX_BUNDLE_BYTES
 before it allocates, reads the file straight into the arrays it returns
-while it digests it, and regenerates the orbits with the same
-``chirp_orbit``, so it knows them for orbits without checking the
-atoms (``dictionary.mark_chirp_orbits``).  All writes are atomic (temp
-file + rename) and copy no array.
+while it digests it, regenerates the orbits with the same
+``chirp_orbit`` and declares them, so it knows them for orbits without
+checking the atoms.  All writes are atomic (temp file + rename) and
+copy no array.
 """
 
 from __future__ import annotations
@@ -41,8 +42,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .dictionary import (Dictionary, chirp_orbit, mark_chirp_orbits,
-                         orbit_layout)
+from .dictionary import Dictionary, chirp_orbit
 from .field import FpField
 from .weil import chirp_table
 
@@ -171,15 +171,14 @@ def save_dictionary(d: Dictionary, out_dir: str) -> dict:
 
 
 def _seed_sizes(d: Dictionary) -> np.ndarray:
-    """The group size of each chirp orbit of d, when chirp_orbit gives
-    every orbit back bit for bit from its group (j, 0) rows; else none,
-    so that every row is tail.  The scratch is one orbit."""
-    layout = orbit_layout(d)
-    if layout is None:
-        return np.zeros(0, dtype=np.int64)
-    field, sizes = layout
-    p = field.p
-    chirp = chirp_table(field)
+    """The group size of each chirp orbit d declares, when chirp_orbit
+    gives every orbit back bit for bit from its group (j, 0) rows; else
+    none, so that every row is tail.  The scratch is one orbit."""
+    sizes = d.orbits
+    if not len(sizes):
+        return sizes
+    p = d.prime
+    chirp = chirp_table(FpField(p))
     scratch = np.empty(p * int(sizes.max()) * p, dtype=np.complex128)
     lo = 0
     for m in sizes.tolist():
@@ -198,13 +197,14 @@ def load_dictionary(in_dir: str) -> Dictionary:
     Damage of any kind raises CorruptDictionaryError: a manifest that is
     not a JSON object, lacks a key or disagrees with atoms.bin on the
     kind or a count, a digest, header, layout or length mismatch, a
-    dictionary above MAX_BUNDLE_BYTES, group ids that disagree with the
-    orbit layout, or provenance that Dictionary rejects.  The layout is
-    checked against the file length before any array is allocated.  The
-    tail rows and the provenance are read straight into the returned
-    arrays, which are writable, and each orbit is regenerated from its
-    seed rows, so its orbit defect is the rounding bound of
-    ``chirp_orbit``; an all-tail bundle measures it on first use.
+    dictionary above MAX_BUNDLE_BYTES, or provenance that Dictionary
+    rejects, group ids that disagree with the stored orbit layout
+    among them.  The layout is checked against the file length before
+    any array is allocated.  The tail rows and the provenance are read
+    straight into the returned arrays, which are writable, and each
+    orbit is regenerated from its seed rows and declared, so its orbit
+    defect is the rounding bound of ``chirp_orbit``; an all-tail bundle
+    declares none and is read densely.
     """
     try:
         return _load_bundle(in_dir)
@@ -258,15 +258,10 @@ def _load_bundle(in_dir: str) -> Dictionary:
     if p != prime:
         raise CorruptDictionaryError("manifest prime != blob dimension")
     d = Dictionary(kind, p, vectors, ids[:n], ids[n:2 * n],
-                   ids[2 * n:].reshape(n, 2))
+                   ids[2 * n:].reshape(n, 2), orbits=sizes)
     if d.n_groups != group_count:
         raise CorruptDictionaryError("manifest group count mismatch")
-    if not len(sizes):
-        return d
-    layout = orbit_layout(d)
-    if layout is None or not np.array_equal(layout[1], sizes):
-        raise CorruptDictionaryError("group ids disagree with orbit layout")
-    return mark_chirp_orbits(d)
+    return d
 
 
 def _read_into(fh, digest, array: np.ndarray) -> np.ndarray:

@@ -19,7 +19,6 @@ import pytest
 
 import oscdict
 from oscdict import analysis
-from oscdict import dictionary as dictionary_module
 from oscdict.analysis import (CoherenceReport, _ScanAccumulator, coherence,
                               dictionary_bound, shifted_coherence,
                               verify_orthonormal)
@@ -29,8 +28,8 @@ from oscdict.dictionary import (Dictionary, extended_dictionary,
 from oscdict.field import FpField
 from oscdict.heisenberg import HeisenbergElement, pi, shift_table
 from oscdict.linalg import phase_table
-from oscdict.sparse import omp
 from oscdict.storage import load_dictionary, save_dictionary
+from orbit_oracle import measured_orbit_defect
 
 
 def test_dictionary_bound():
@@ -172,6 +171,13 @@ def test_shifted_coherence_bad_mode():
         shifted_coherence(d, mode="psychic")
 
 
+def test_shifted_coherence_refuses_an_empty_dictionary():
+    d = Dictionary("oscillator_split", 5, np.zeros((0, 5)), [], [])
+    for mode in ("auto", "exhaustive", "sampled"):
+        with pytest.raises(ValueError, match="at least one atom"):
+            shifted_coherence(d, mode=mode)
+
+
 def test_sampled_scans_reject_no_samples():
     d = split_oscillator(FpField(5))
     for scan in (coherence, shifted_coherence):
@@ -202,14 +208,14 @@ def _damaged_union(field):
 def _union_with_tail(field):
     """The oscillator union followed by a tail group: the rows of a random
     unitary, which no chirp maps onto themselves, so a scan must read
-    them with weight 1."""
+    them with weight 1.  It declares the union's orbits."""
     d = oscillator_dictionary(field)
     p = field.p
     rng = np.random.default_rng(p)
     q, _ = np.linalg.qr(rng.normal(size=(p, p)) + 1j * rng.normal(size=(p, p)))
     return Dictionary(d.kind, p, np.vstack([d.vectors, q]),
                       np.append(d.group_ids, [d.n_groups] * p),
-                      np.append(d.member_ids, np.arange(p)))
+                      np.append(d.member_ids, np.arange(p)), orbits=d.orbits)
 
 
 _ORBIT_BUILDERS = (split_oscillator, nonsplit_oscillator,
@@ -254,8 +260,9 @@ def test_exhaustive_scan_matches_full_gram(builder, p):
 
 
 def test_orbit_structure_detection(tmp_path):
-    # the orbit scan runs exactly on the builders' chirp orbits, reloaded
-    # or not; every other layout takes the dense scan
+    # the orbit scan runs exactly on the orbits the builders declare,
+    # reloaded or not; every other layout, an all-tail bundle among them,
+    # takes the dense scan
     f = FpField(5)
     for builder in _ORBIT_BUILDERS:
         defect = builder(f).orbit_defect
@@ -263,8 +270,9 @@ def test_orbit_structure_detection(tmp_path):
     save_dictionary(oscillator_dictionary(f), str(tmp_path / "union"))
     assert load_dictionary(str(tmp_path / "union")).orbit_defect \
         == oscillator_dictionary(f).orbit_defect
+    save_dictionary(_damaged_union(f), str(tmp_path / "damaged"))
     no_field = Dictionary("oscillator", 9, np.eye(9), range(9), [0] * 9)
-    for d in (_damaged_union(f),
+    for d in (_damaged_union(f), load_dictionary(str(tmp_path / "damaged")),
               extended_dictionary(oscillator_dictionary(f)), no_field):
         assert d.orbit_defect is None
     assert coherence(no_field, mode="exhaustive").max_coherence == 0.0
@@ -278,50 +286,24 @@ def test_orbit_bound_covers_the_measured_defect(builder, p, tmp_path):
     d = builder(FpField(p))
     save_dictionary(d, str(tmp_path / "d"))
     loaded = load_dictionary(str(tmp_path / "d"))
+    assert np.array_equal(loaded.orbits, d.orbits)
     assert loaded.orbit_defect == d.orbit_defect
-    assert dictionary_module._orbit_defect(d) <= d.orbit_defect < 1e-14
+    assert measured_orbit_defect(d) <= d.orbit_defect < 1e-14
 
 
-def _count_orbit_checks(monkeypatch) -> list:
-    """Patch the measured orbit check to log each dictionary it reads."""
-    runs = []
-    check = dictionary_module._orbit_defect
-
-    def counted(d):
-        runs.append(d)
-        return check(d)
-
-    monkeypatch.setattr(dictionary_module, "_orbit_defect", counted)
-    return runs
-
-
-def test_built_and_loaded_orbits_skip_the_check(monkeypatch, tmp_path):
-    runs = _count_orbit_checks(monkeypatch)
+def test_union_with_tail_declares_the_union_orbits(tmp_path):
+    # the helper's tail group follows the orbits it declares, and a save
+    # and load keep them, so its scans and OMP read the seed rows
     f = FpField(7)
-    for builder in _ORBIT_BUILDERS:
-        d = builder(f)
-        save_dictionary(d, str(tmp_path / builder.__name__))
-        for x in (d, load_dictionary(str(tmp_path / builder.__name__))):
-            coherence(x, mode="exhaustive")
-            omp(x, x.vectors[3] + 0.5 * x.vectors[-1], max_support=2)
-            assert x.orbit_defect is not None
-    with_tail = _union_with_tail(f)
+    union, with_tail = oscillator_dictionary(f), _union_with_tail(f)
+    assert np.array_equal(with_tail.orbits, union.orbits)
+    assert with_tail.orbit_defect == union.orbit_defect
+    _, end, _ = with_tail.orbit_seeds
+    assert end == len(union)
     save_dictionary(with_tail, str(tmp_path / "tail"))
-    assert load_dictionary(str(tmp_path / "tail")).orbit_defect is not None
-    assert runs == []
-
-
-def test_hand_made_and_all_tail_layouts_run_the_check(monkeypatch,
-                                                      tmp_path):
-    runs = _count_orbit_checks(monkeypatch)
-    f = FpField(7)
-    with_tail = _union_with_tail(f)
-    assert with_tail.orbit_defect is not None
-    assert runs == [with_tail]
-    save_dictionary(_damaged_union(f), str(tmp_path / "damaged"))
-    damaged = load_dictionary(str(tmp_path / "damaged"))
-    assert damaged.orbit_defect is None
-    assert runs == [with_tail, damaged]
+    loaded = load_dictionary(str(tmp_path / "tail"))
+    assert np.array_equal(loaded.orbits, union.orbits)
+    assert loaded.orbit_defect == union.orbit_defect
 
 
 def test_auto_mode_counts_computed_magnitudes(monkeypatch):
@@ -504,19 +486,49 @@ def test_sampled_scans_equal_vdot_oracle(builder, p):
         == _oracle_report(d, keys, _shift_oracle(d, keys), 1, shift_scan=True)
 
 
+def _scan_peak(scan, d, runs=1, **kwargs) -> int:
+    """The traced peak of scan(d, **kwargs) above the memory traced when
+    it starts, measured after a warm-up run of the same scan, so the free
+    lists and caches it finds are the ones that scan leaves, whatever ran
+    before.  The least of runs such peaks: threads' in-flight objects at
+    the peak vary with scheduling and only add to it."""
+    tracemalloc.start()
+    try:
+        scan(d, **kwargs)  # warm-up
+        peaks = []
+        for _ in range(runs):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            scan(d, **kwargs)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        return min(peaks)
+    finally:
+        tracemalloc.stop()
+
+
+def test_exhaustive_scan_memory_does_not_grow_with_n(monkeypatch):
+    # blocks of at most _BLOCK_CELLS magnitudes and no copy of the atoms:
+    # with 512-cell blocks, twice the atoms leave both exhaustive scans' traced
+    # peaks where they were, while 256-row blocks and a whole Gram per
+    # shift would add about 1 MB
+    monkeypatch.setattr(analysis, "_BLOCK_CELLS", 1 << 9)
+    rng = np.random.default_rng(5)
+    peaks = {}
+    for n in (100, 200):
+        V = rng.normal(size=(n, 5)) + 1j * rng.normal(size=(n, 5))
+        d = Dictionary("extended", 5, V, np.arange(n) // 3, np.arange(n) % 3)
+        for scan in (coherence, shifted_coherence):
+            peaks[scan, n] = _scan_peak(scan, d, mode="exhaustive")
+    for scan in (coherence, shifted_coherence):
+        assert peaks[scan, 200] <= peaks[scan, 100] + 8192, peaks
+
+
 def test_sampled_scan_memory_flat_in_samples():
     # the gather buffers are allocated once per scan and each pass draws
     # at most 100_000 pairs, so the traced peak does not grow with samples
     d = heisenberg_dictionary(FpField(61))
-    coherence(d, mode="sampled", samples=1_000)  # first-use imports
-    peaks = []
-    for samples in (200_000, 1_000_000):
-        tracemalloc.start()
-        try:
-            coherence(d, mode="sampled", samples=samples)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+    peaks = [_scan_peak(coherence, d, mode="sampled", samples=samples)
+             for samples in (200_000, 1_000_000)]
     assert peaks[0] <= 8_000_000
     # equal but for a few small Python objects: repeating one scan moves
     # the peak by tens of bytes, while any array kept from pass to pass
@@ -608,24 +620,18 @@ def test_worker_count_follows_affinity_and_pass_size(monkeypatch):
 
 def test_sampled_scan_memory_flat_at_any_worker_count(monkeypatch):
     # the workers share one gather budget, so eight workers trace what two
-    # do; the flatness bound is looser than one worker's because the
-    # threads' in-flight Python objects at the peak vary with scheduling,
-    # while a pass-long array kept from pass to pass would add 800 kB
+    # do but for their threads' in-flight Python objects, about 110 kB,
+    # while a pass-long array kept from pass to pass would add 800 kB and
+    # buffers of _GATHER_BYTES per worker 6 MB
     d = heisenberg_dictionary(FpField(61))
-    for scan in (coherence, shifted_coherence):
-        scan(d, mode="sampled", samples=1_000)  # first-use imports
     peaks = {}
-    for workers in (2, 8):
+    for workers, scan, samples in (
+            (8, coherence, 200_000), (8, coherence, 1_000_000),
+            (8, shifted_coherence, 200_000), (2, coherence, 200_000),
+            (2, shifted_coherence, 200_000)):
         monkeypatch.setattr(analysis, "_worker_count", lambda size: workers)
-        for scan in (coherence, shifted_coherence):
-            for samples in (200_000, 1_000_000):
-                tracemalloc.start()
-                try:
-                    scan(d, mode="sampled", samples=samples)
-                    peaks[workers, scan, samples] = (
-                        tracemalloc.get_traced_memory()[1])
-                finally:
-                    tracemalloc.stop()
+        peaks[workers, scan, samples] = _scan_peak(
+            scan, d, runs=2, mode="sampled", samples=samples)
     assert peaks[8, coherence, 200_000] <= 8_000_000
     assert abs(peaks[8, coherence, 1_000_000]
                - peaks[8, coherence, 200_000]) <= 16_384

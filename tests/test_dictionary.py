@@ -69,6 +69,29 @@ def test_dictionary_validation():
         Dictionary("heisenberg", 5, v, [0, 0], [0, 1])
 
 
+def test_orbits_must_match_the_group_offsets():
+    # the declared orbits are checked against the group offsets alone: one
+    # size per orbit of p equally large groups from atom 0, in C^p
+    d = heisenberg_dictionary(FpField(5))
+    args = (d.kind, 5, d.vectors, d.group_ids, d.member_ids)
+    assert np.array_equal(d.orbits, [5])
+    assert np.array_equal(Dictionary(*args, orbits=[5]).orbits, d.orbits)
+    moved = d.group_ids.copy()
+    moved[4] = 1  # groups of 4 and 6 atoms: no orbit of groups of 5
+    for orbits, gids, vectors in (
+            ([4], d.group_ids, d.vectors), ([5, 5], d.group_ids, d.vectors),
+            ([0], d.group_ids, d.vectors), ([-5], d.group_ids, d.vectors),
+            ([5], moved, d.vectors), ([5], d.group_ids + 1, d.vectors),
+            ([5], d.group_ids, np.hstack([d.vectors, d.vectors]))):
+        with pytest.raises(ValueError, match="disagree with orbit layout"):
+            Dictionary(d.kind, 5, vectors, gids, d.member_ids, orbits=orbits)
+    assert Dictionary(*args).orbits.size == 0
+    # no chirps without a field F_p
+    with pytest.raises(ValueError, match="not prime"):
+        Dictionary("oscillator", 9, np.eye(9), range(9), [0] * 9,
+                   orbits=[1])
+
+
 def line_directions(field):
     """Oracle: the generator (tau, w) of each Heisenberg group, in group
     order: the lines through (1, x), then the deltas' line (0, 1)."""

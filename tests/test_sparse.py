@@ -14,8 +14,6 @@ from functools import cache
 import numpy as np
 import pytest
 
-from oscdict import dictionary as dictionary_module
-from oscdict.analysis import coherence
 from oscdict.dictionary import (Dictionary, extended_dictionary,
                                 heisenberg_dictionary, nonsplit_oscillator,
                                 oscillator_dictionary, split_oscillator)
@@ -313,28 +311,34 @@ def test_non_orbit_layouts_take_the_dense_path():
                          _dense_omp(d, signal, k))
 
 
-def test_orbit_check_runs_once_per_dictionary(monkeypatch):
-    # a hand-made dictionary over built arrays measures its orbit defect,
-    # once, however many scans and OMP runs read it
-    runs = []
-    check = dictionary_module._orbit_defect
+class _Unreadable:
+    """Stands in for atoms that must not be read."""
 
-    def counted(d):
-        runs.append(d)
-        return check(d)
+    def __getattr__(self, name):
+        raise AssertionError(f"atoms read: .{name}")
 
-    monkeypatch.setattr(dictionary_module, "_orbit_defect", counted)
+    def __getitem__(self, key):
+        raise AssertionError("atoms read")
+
+
+def test_hand_made_copy_takes_the_dense_path_unread():
+    # a hand-made dictionary over built arrays declares no orbits, so it
+    # has no orbit defect, reads no atom to learn that, and OMP on it is
+    # the dense loop
     built = oscillator_dictionary(FpField(7))
-    assert runs == []
     d = Dictionary(built.kind, built.prime, built.vectors, built.group_ids,
                    built.member_ids)
-    coherence(d, mode="exhaustive")
+    atoms, d.vectors = d.vectors, _Unreadable()
+    assert d.orbit_defect is None and d.orbit_seeds is None
+    d.vectors = atoms
     rng = np.random.default_rng(0)
-    for _ in range(10):
-        omp(d, rng.normal(size=7) + 1j * rng.normal(size=7), max_support=3)
-    recovery_experiment(d, 2, 10)
-    assert runs == [d]
-    assert d.orbit_defect == check(built) <= built.orbit_defect
+    for k in (1, 3):
+        for _ in range(4):
+            f = rng.normal(size=7) + 1j * rng.normal(size=7)
+            _assert_same(omp(d, f, max_support=k), _dense_omp(d, f, k))
+    want = recovery_experiment(d, 2, 10, algorithm=_dense_omp)
+    assert json.dumps(recovery_experiment(d, 2, 10).to_dict()) \
+        == json.dumps(want.to_dict())
 
 
 _AT_SCALE = {
