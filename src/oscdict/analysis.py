@@ -31,7 +31,9 @@ shifted scan draws (i, j, v) triples in passes of _SHIFT_PASS and
 gathers its translated rows through the cached
 ``heisenberg.shift_table``, taking its magnitudes the same way.
 
-Both sampled scans run each pass on W workers, W = min(usable cores,
+Both sampled scans run on one engine, ``_sampled_scan``; a scan gives
+it only its pass size, its draw, its gather and what one draw takes of
+each gather buffer.  Each pass runs on W workers, W = min(usable cores,
 pass draws / _PAIR_CHUNK, _GATHER_BUDGET / _GATHER_BYTES), where the
 usable cores are ``os.sched_getaffinity(0)``, so ``taskset`` bounds W;
 there is no other knob.  The calling thread draws a pass with the one
@@ -42,21 +44,21 @@ write its magnitudes into one span-long array; once all have stopped,
 the calling thread feeds the span to the accumulator in draw order.  So
 max, argmax (the first maximum in draw order), min, counts and histogram
 are the same at every W, bit for bit; W = 1 starts no thread, and no
-thread outlives its span.  The workers share _GATHER_BUDGET bytes of
-buffers, at most _GATHER_BYTES each, made once per scan by the calling
-thread, so memory grows neither with W nor with ``samples``.  The
-gathers and the dots release the GIL, but a block takes the GIL back
-between its numpy calls, so the blocks must be large: with two workers,
-a Heisenberg p=61 scan of 200,000 samples took 26 ms with 0.5 MiB per
-buffer, 46 ms with half of that and 68 ms with a quarter, against
-37-41 ms for one worker.  More workers would need more memory, so W
-stops at two.  Claiming blocks as they come free, rather than cutting
-fixed shards, keeps the calling thread busy to the end of each span.  On
-a 2-vCPU VM a core left idle for even 1 ms ran the next 45 ms of OMP
-solves 5-8% slower, and with fixed shards the calling thread waited for
-the other one: the benchmark's OMP tail after the scan rose 6-10%.  Exhaustive
-scans stay on the calling thread: their BLAS-3 blocks use BLAS's own
-threads, which a pool would oversubscribe.
+thread outlives its span.  Each worker's buffers, every one counted,
+take at most min(_GATHER_BYTES, _GATHER_BUDGET / W) bytes and are made
+once per scan, so memory grows neither with W nor with ``samples``.
+The gathers and the dots release the GIL, but a block takes the GIL
+back between its numpy calls, so the blocks must be large: with two
+workers, a Heisenberg p=61 scan of 200,000 samples took 26 ms with
+0.5 MiB per buffer, 46 ms with half of that and 68 ms with a quarter,
+against 37-41 ms for one worker.  More workers would need more memory,
+so W stops at two.  Claiming blocks as they come free, rather than
+cutting fixed shards, keeps the calling thread busy to the end of each
+span.  On a 2-vCPU VM a core left idle for even 1 ms ran the next 45 ms
+of OMP solves 5-8% slower, and with fixed shards the calling thread
+waited for the other one: the benchmark's OMP tail after the scan rose
+6-10%.  Exhaustive scans stay on the calling thread: their BLAS-3
+blocks use BLAS's own threads, which a pool would oversubscribe.
 """
 
 from __future__ import annotations
@@ -246,21 +248,31 @@ def coherence(dictionary, mode: str = "auto", samples: int = DEFAULT_SAMPLES,
         computed -= orbit_pairs - orbit_pairs // p
     if mode == "sampled" or (mode == "auto"
                              and computed > EXHAUSTIVE_PAIR_LIMIT):
-        return _coherence_sampled(dictionary, samples, seed)
+        return _report(dictionary, _coherence_sampled(dictionary, samples,
+                                                      seed), "sampled", seed)
     acc = _ScanAccumulator()
     if orbit_defect is None:
         within = _scan_dense(dictionary.vectors, gids, acc)
     else:
         within = _scan_orbits(dictionary, orbit_defect, acc)
     assert acc.count == cross_pairs
+    return _report(dictionary, acc, "exhaustive", within=within)
+
+
+def _report(dictionary, acc, mode: str, seed=None, within=None,
+            shift_scan: bool = False) -> CoherenceReport:
+    """The report of a scan of dictionary that fed acc; a shift scan's
+    bound is 4/sqrt(p) for every kind, and only a sampled scan has a
+    seed."""
+    p, kind = dictionary.prime, dictionary.kind
+    bound = 4.0 / np.sqrt(p) if shift_scan else dictionary_bound(kind, p)
     return CoherenceReport(
-        label="coherence", prime=p, kind=dictionary.kind,
-        bound=dictionary_bound(dictionary.kind, p),
-        max_coherence=acc.max, min_coherence=acc.min, argmax=acc.argmax,
-        mode="exhaustive", seed=None, pairs_evaluated=acc.count,
-        histogram_counts=acc.counts, histogram_edges=acc.edges,
-        within_group_defect=within,
-    )
+        label="shifted-coherence" if shift_scan else "coherence", prime=p,
+        kind=kind, bound=bound, max_coherence=acc.max, min_coherence=acc.min,
+        argmax=acc.argmax, mode=mode, seed=seed if mode == "sampled" else None,
+        pairs_evaluated=acc.count, histogram_counts=acc.counts,
+        histogram_edges=acc.edges, within_group_defect=within,
+        shift_scan=shift_scan)
 
 
 def _cross_pairs(gids: np.ndarray) -> int:
@@ -364,34 +376,13 @@ def _scan_dense(V: np.ndarray, gids: np.ndarray, acc, offset: int = 0
 
 
 def _coherence_sampled(dictionary, samples: int, seed: int
-                       ) -> CoherenceReport:
-    if samples < 1:
-        raise ValueError(f"samples must be at least 1, got {samples}")
+                       ) -> _ScanAccumulator:
+    """The sampled pair scan: exactly samples cross-group pairs."""
     V = dictionary.vectors
     gids = dictionary.group_ids
     n, p = V.shape
-    rng = np.random.default_rng(seed)
-    acc = _ScanAccumulator()
-    workers = _worker_count(min(samples, _SAMPLE_PASS))
-    rows = _gather_rows(2 * 16 * p, workers)  # two complex rows per draw
-    # per worker; C-contiguous, so _pair_magnitudes runs one BLAS zdotc
-    # per row
-    buffers = [(np.empty((rows, p), dtype=np.complex128),
-                np.empty((rows, p), dtype=np.complex128),
-                np.empty(rows, dtype=np.complex128))
-               for _ in range(workers)]
 
-    def gather(k, lo, hi, i, j, mags):
-        phi, psi, dots = (buf[:hi - lo] for buf in buffers[k])
-        # every index is in range, and "clip" lets np.take write into
-        # the buffers without a copy
-        V.take(i[lo:hi], 0, out=phi, mode="clip")
-        V.take(j[lo:hi], 0, out=psi, mode="clip")
-        _pair_magnitudes(phi, psi, out=mags[lo:hi], dots=dots)
-
-    def scan_pass(m):
-        # a function of its own, so one pass's arrays are freed before
-        # the next pass draws
+    def draw(rng, m):
         i = rng.integers(0, n, size=m)
         j = rng.integers(0, n, size=m)
         # keep the cross-group pairs in place, a chunk at a time, so the
@@ -406,40 +397,74 @@ def _coherence_sampled(dictionary, samples: int, seed: int
             j[kept:kept + count] = cj[keep]
             kept += count
         i, j = i[:kept], j[:kept]
-        _scan_draws(acc, gather, rows, workers,
-                    lambda k: (int(i[k]), int(j[k])), i, j)
+        return (i, j), lambda k: (int(i[k]), int(j[k]))
+
+    def gather(buffers, i, j, mags):
+        phi, psi, dots = buffers
+        # every index is in range, and "clip" lets np.take write into
+        # the buffers without a copy
+        V.take(i, 0, out=phi, mode="clip")
+        V.take(j, 0, out=psi, mode="clip")
+        _pair_magnitudes(phi, psi, out=mags, dots=dots)
+
+    # two rows and a dot per draw; C-contiguous, so _pair_magnitudes runs
+    # one BLAS zdotc per row
+    atom = (np.complex128, (p,))
+    return _sampled_scan(samples, seed, _SAMPLE_PASS, draw, gather,
+                         [atom, atom, np.complex128])
+
+
+def _sampled_scan(samples: int, seed: int, size: int, draw, gather,
+                  layout) -> _ScanAccumulator:
+    """The sampled-scan engine: a new accumulator fed the magnitudes of
+    exactly samples draws, in passes of at most size draws.
+
+    draw(rng, m) draws a pass of m with the scan's one generator and
+    returns the arrays of the draws it keeps, one coordinate each, and
+    the function naming draw k.  layout lists what one draw takes of each
+    gather buffer, as a dtype ((np.complex128, (p,)) for a row); each of
+    the W workers gets buffers for as many draws as fit in
+    min(_GATHER_BYTES, _GATHER_BUDGET // W) bytes, made once per scan.
+    _SPAN draws at a time, the workers run gather(buffers, *coordinates,
+    mags) on blocks of draws (see _run_blocks), each with its own buffers
+    and the block's slices of the coordinates and of the magnitudes it
+    writes; then the span's magnitudes feed the accumulator in draw
+    order, _PAIR_CHUNK at a time, so its argmax is the first maximum in
+    draw order and the binning's scratch stays small.
+    """
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
+    rng = np.random.default_rng(seed)
+    acc = _ScanAccumulator()
+    workers = _worker_count(min(samples, size))
+    draw_bytes = sum(np.dtype(entry).itemsize for entry in layout)
+    rows = max(1, min(_GATHER_BYTES, _GATHER_BUDGET // workers) // draw_bytes)
+    buffers = [[np.empty(rows, entry) for entry in layout]
+               for _ in range(workers)]
+
+    def block(k, lo, hi, *span):
+        gather([buf[:hi - lo] for buf in buffers[k]],
+               *(a[lo:hi] for a in span))
+
+    def scan_pass(m):
+        # a function of its own, so one pass's arrays are freed before
+        # the next pass draws
+        draws, name = draw(rng, m)
+        kept = len(draws[0])
+        mags = np.empty(min(kept, _SPAN))
+        for start in range(0, kept, _SPAN):
+            out = mags[:min(kept - start, _SPAN)]
+            _run_blocks(block, out.size, rows, workers,
+                        *(a[start:start + _SPAN] for a in draws), out)
+            for lo in range(0, out.size, _PAIR_CHUNK):
+                acc.feed(out[lo:lo + _PAIR_CHUNK],
+                         argmax_of=lambda k, s=start + lo: name(s + k))
         return kept
 
     remaining = samples
     while remaining > 0:
-        remaining -= scan_pass(min(remaining, _SAMPLE_PASS))
-    return CoherenceReport(
-        label="coherence", prime=dictionary.prime, kind=dictionary.kind,
-        bound=dictionary_bound(dictionary.kind, dictionary.prime),
-        max_coherence=acc.max, min_coherence=acc.min, argmax=acc.argmax,
-        mode="sampled", seed=seed, pairs_evaluated=acc.count,
-        histogram_counts=acc.counts, histogram_edges=acc.edges,
-    )
-
-
-def _scan_draws(acc, gather, rows, workers, draw, *draws):
-    """Feed acc the magnitudes of one pass's draws, each of the arrays
-    draws holding one coordinate of every draw; draw(k) names draw k.
-    _SPAN draws at a time, the workers run gather(worker, lo, hi, *span,
-    mags) on blocks of rows draws (see _run_blocks), each writing
-    mags[lo:hi] for the span's draws [lo, hi) with the worker's own
-    buffers; then acc is fed mags in draw order, _PAIR_CHUNK at a time,
-    so its argmax is the first maximum in draw order and the binning's
-    scratch stays small."""
-    size = len(draws[0])
-    mags = np.empty(min(size, _SPAN))
-    for start in range(0, size, _SPAN):
-        span = [a[start:start + _SPAN] for a in draws]
-        out = mags[:len(span[0])]
-        _run_blocks(gather, out.size, rows, workers, *span, out)
-        for lo in range(0, out.size, _PAIR_CHUNK):
-            acc.feed(out[lo:lo + _PAIR_CHUNK],
-                     argmax_of=lambda k, s=start + lo: draw(s + k))
+        remaining -= scan_pass(min(remaining, size))
+    return acc
 
 
 def _worker_count(size: int) -> int:
@@ -453,14 +478,6 @@ def _worker_count(size: int) -> int:
         cores = os.cpu_count() or 1
     return max(1, min(cores, -(-size // _PAIR_CHUNK),
                       _GATHER_BUDGET // _GATHER_BYTES))
-
-
-def _gather_rows(row_bytes: int, workers: int) -> int:
-    """Draws per gather block of each worker, when a draw takes row_bytes
-    of a worker's buffers: _GATHER_BYTES per worker, less when the
-    workers would overrun _GATHER_BUDGET, so the scan's memory does not
-    grow with the worker count."""
-    return max(1, min(_GATHER_BYTES, _GATHER_BUDGET // workers) // row_bytes)
 
 
 def _run_blocks(job, size, step, workers, *args):
@@ -531,8 +548,7 @@ def shifted_coherence(dictionary, mode: str = "auto",
     grow with n; each block of rows is fed whole, so the argmax is the
     first maximum in (v, i, j) order.  Sampled mode draws (i, j, v)
     triples and gathers the translated rows through
-    ``heisenberg.shift_table``, each pass split across the scan's workers
-    (see the module docstring).
+    ``heisenberg.shift_table`` (see the module docstring).
     """
     p = dictionary.prime
     field = FpField(p)
@@ -543,8 +559,8 @@ def shifted_coherence(dictionary, mode: str = "auto",
     total = n * n * (p * p - 1)
     if mode == "auto":
         mode = "exhaustive" if total <= EXHAUSTIVE_PAIR_LIMIT else "sampled"
-    acc = _ScanAccumulator()
     if mode == "exhaustive":
+        acc = _ScanAccumulator()
         rows = max(1, _BLOCK_CELLS // n)
         width = max(1, _BLOCK_CELLS // max(rows, p))
         mags = np.empty((min(rows, n), n))
@@ -559,57 +575,39 @@ def shifted_coherence(dictionary, mode: str = "auto",
                            out=out[:, j:j + width])
                 acc.feed(out.reshape(-1), argmax_of=lambda k, i=i, t=tau,
                          ww=w: (i + k // n, k % n, t, ww))
-        used_seed = None
     elif mode == "sampled":
-        if samples < 1:
-            raise ValueError(f"samples must be at least 1, got {samples}")
-        rng = np.random.default_rng(seed)
         cols, phases = shift_table(field)
         flat = V.reshape(-1)
-        workers = _worker_count(min(samples, _SHIFT_PASS))
-        # an index row and three complex rows per draw
-        rows = _gather_rows((8 + 3 * 16) * p, workers)
-        buffers = [(np.empty((rows, p), dtype=np.intp),
-                    np.empty((rows, p), dtype=np.complex128),
-                    np.empty((rows, p), dtype=np.complex128),
-                    np.empty((rows, p), dtype=np.complex128),
-                    np.empty(rows, dtype=np.intp),
-                    np.empty(rows, dtype=np.complex128))
-                   for _ in range(workers)]
 
-        def gather(k, lo, hi, i, j, v, mags):
-            idx, phi, psi, ph, row, dots = (
-                buf[:hi - lo] for buf in buffers[k])
-            # psi_j moved by v = tau*p + w: entry t is V[j, cols[tau, t]]
-            # times phases[v, t].  Every index is in range, and "clip"
-            # lets np.take write into the buffers without a copy
-            cols.take(np.floor_divide(v[lo:hi], p, out=row), 0, out=idx,
-                      mode="clip")
-            idx += np.multiply(j[lo:hi], p, out=row)[:, None]
-            flat.take(idx, out=psi, mode="clip")
-            psi *= phases.take(v[lo:hi], 0, out=ph, mode="clip")
-            V.take(i[lo:hi], 0, out=phi, mode="clip")
-            _pair_magnitudes(phi, psi, out=mags[lo:hi], dots=dots)
-
-        def scan_pass(m):
+        def draw(rng, m):
             i = rng.integers(0, n, size=m)
             j = rng.integers(0, n, size=m)
             v = rng.integers(1, p * p, size=m)  # nonzero shifts only
-            _scan_draws(acc, gather, rows, workers, lambda k: (
-                int(i[k]), int(j[k]), *divmod(int(v[k]), p)), i, j, v)
-            return m
+            return (i, j, v), lambda k: (int(i[k]), int(j[k]),
+                                         *divmod(int(v[k]), p))
 
-        remaining = samples
-        while remaining > 0:
-            remaining -= scan_pass(min(remaining, _SHIFT_PASS))
-        used_seed = seed
+        def gather(buffers, i, j, v, mags):
+            idx, phi, psi, ph, row, dots = buffers
+            # psi_j moved by v = tau*p + w: entry t is V[j, cols[tau, t]]
+            # times phases[v, t].  Every index is in range, and "clip"
+            # lets np.take write into the buffers without a copy
+            cols.take(np.floor_divide(v, p, out=row), 0, out=idx,
+                      mode="clip")
+            # idx += j*p without a broadcast add, which takes a 64 kB
+            # iterator buffer per call: j*p is spread over psi's first
+            # half, seen as indices, which the take below overwrites
+            jp = psi.reshape(-1).view(np.intp)[:idx.size].reshape(idx.shape)
+            jp[...] = np.multiply(j, p, out=row)[:, None]
+            idx += jp
+            flat.take(idx, out=psi, mode="clip")
+            psi *= phases.take(v, 0, out=ph, mode="clip")
+            V.take(i, 0, out=phi, mode="clip")
+            _pair_magnitudes(phi, psi, out=mags, dots=dots)
+
+        # an index row, three complex rows, an index and a dot per draw
+        atom = (np.complex128, (p,))
+        acc = _sampled_scan(samples, seed, _SHIFT_PASS, draw, gather, [
+            (np.intp, (p,)), atom, atom, atom, np.intp, np.complex128])
     else:
         raise ValueError(f"unknown scan mode {mode!r}")
-    return CoherenceReport(
-        label="shifted-coherence", prime=p, kind=dictionary.kind,
-        bound=4.0 / np.sqrt(p),
-        max_coherence=acc.max, min_coherence=acc.min, argmax=acc.argmax,
-        mode=mode, seed=used_seed, pairs_evaluated=acc.count,
-        histogram_counts=acc.counts, histogram_edges=acc.edges,
-        shift_scan=True,
-    )
+    return _report(dictionary, acc, mode, seed, shift_scan=True)

@@ -24,13 +24,13 @@ import time
 
 import numpy as np
 
-from .analysis import coherence, verify_orthonormal
+from .analysis import DEFAULT_SAMPLES, coherence, verify_orthonormal
 from .dictionary import (BUILDERS, expected_size, heisenberg_dictionary,
                          nonsplit_oscillator, split_oscillator,
                          unit_norm_defect)
 from .field import FpField, is_prime
 from .heisenberg import HeisenbergElement, h_mul, pi
-from .linalg import unitarity_defect
+from .linalg import UNIT_NORM_TOL, unitarity_defect
 from .sl2 import (bruhat, nonsplit_tori, sl2_elements, sl2_order,
                   split_representatives)
 from .sparse import (RecoveryError, omp, orbit_correlations,
@@ -214,7 +214,7 @@ def _selftest_checks(field: FpField):
     yield "rho unitary over R", worst <= 1e-10, f"defect {worst:.1e}"
 
     dh = heisenberg_dictionary(field)
-    ok = len(dh) == p * (p + 1) and unit_norm_defect(dh) <= 1e-12
+    ok = len(dh) == p * (p + 1) and unit_norm_defect(dh) <= UNIT_NORM_TOL
     yield "Heisenberg dictionary size and norms", ok, f"{len(dh)} atoms"
 
     rep = coherence(dh, mode="exhaustive")
@@ -285,7 +285,7 @@ def make_parser() -> argparse.ArgumentParser:
     c.add_argument("dictionary", help="bundle directory")
     c.add_argument("--mode", choices=["auto", "exhaustive", "sampled"],
                    default="auto")
-    c.add_argument("--samples", type=int, default=1_000_000)
+    c.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
     c.add_argument("--seed", type=int, default=0)
     c.add_argument("--out", default=None)
     c.add_argument("--format", choices=["json", "text", "csv"],

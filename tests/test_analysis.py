@@ -618,6 +618,42 @@ def test_worker_count_follows_affinity_and_pass_size(monkeypatch):
     assert analysis._worker_count(10 * chunk) == 3
 
 
+@pytest.mark.parametrize("p", [5, 61])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sampled_scan_workers_keep_to_the_gather_budget(p, workers,
+                                                         monkeypatch):
+    # every gather buffer counts, the one-entry-per-draw ones too: each
+    # worker holds at most min(_GATHER_BYTES, _GATHER_BUDGET // W) bytes.
+    # The pair scan passes all of its buffers to _pair_magnitudes; the
+    # shifted scan's are seen where the engine hands them to its gather
+    d = heisenberg_dictionary(FpField(p))
+    limit = min(analysis._GATHER_BYTES, analysis._GATHER_BUDGET // workers)
+    monkeypatch.setattr(analysis, "_worker_count", lambda size: workers)
+    magnitudes = analysis._pair_magnitudes
+    held = []
+
+    def pair_magnitudes(left, right, out=None, dots=None):
+        held.append(sum(a.base.nbytes for a in (left, right, dots)))
+        return magnitudes(left, right, out=out, dots=dots)
+
+    monkeypatch.setattr(analysis, "_pair_magnitudes", pair_magnitudes)
+    coherence(d, mode="sampled", samples=20_000)
+    assert held and max(held) <= limit, (max(held), limit)
+    monkeypatch.setattr(analysis, "_pair_magnitudes", magnitudes)
+    engine = analysis._sampled_scan
+    held = []
+
+    def sampled_scan(samples, seed, size, draw, gather, layout):
+        def spy(buffers, *args):
+            held.append(sum(buf.base.nbytes for buf in buffers))
+            gather(buffers, *args)
+        return engine(samples, seed, size, draw, spy, layout)
+
+    monkeypatch.setattr(analysis, "_sampled_scan", sampled_scan)
+    shifted_coherence(d, mode="sampled", samples=20_000)
+    assert held and max(held) <= limit, (max(held), limit)
+
+
 def test_sampled_scan_memory_flat_at_any_worker_count(monkeypatch):
     # the workers share one gather budget, so eight workers trace what two
     # do but for their threads' in-flight Python objects, about 110 kB,
